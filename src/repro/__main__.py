@@ -56,7 +56,7 @@ def _check_backend_flags(args: argparse.Namespace, backend: str) -> int | None:
 
     The CLI used to forward elastic/shared-memory/degradation flags only
     when ``--backend process`` was chosen and silently drop them
-    otherwise — ``--scaling queue-depth --backend thread`` ran happily,
+    otherwise — ``--scaling queue-depth --backend serial`` ran happily,
     unscaled.  Now every ignored flag is named with exit code 2.
     """
     offending = []
@@ -287,7 +287,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(summary(registry))
     for provider in created:
         if not hasattr(provider, "runtime_stats"):
-            continue  # thread backend: telemetry spans cover it
+            continue  # serial backend: telemetry spans cover it
         stats = provider.runtime_stats()
         print(f"\nworkers ({stats['num_workers']} processes, "
               f"{stats['dispatched']} items dispatched):")
@@ -586,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_design.add_argument(
-        "--backend", choices=("serial", "process", "thread", "fabric"),
+        "--backend", choices=("serial", "process", "fabric"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'); "
         "'fabric' runs the campaign as a client on a ScoringFabric; "
@@ -630,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
         help="score through N worker processes (0 = serial)",
     )
     p_stats.add_argument(
-        "--backend", choices=("serial", "process", "thread", "fabric"),
+        "--backend", choices=("serial", "process", "fabric"),
         default="serial",
         help="scoring backend (bare --workers N implies 'process'; "
         "'fabric' reports the coalescer's fabric line too)",

@@ -110,8 +110,8 @@ class InhibitorDesigner:
     backend, workers:
         Scoring backend selection, forwarded to
         :func:`repro.providers.make_score_provider` — ``"serial"``
-        (default), ``"process"`` or ``"thread"``; ``workers`` sizes the
-        parallel pools.
+        (default) or ``"process"``; ``workers`` sizes the parallel
+        pool.
     provider_factory:
         Optional callable ``(engine, target, non_targets) -> ScoreProvider``
         overriding ``backend`` entirely (escape hatch for custom

@@ -15,28 +15,31 @@ Every provider is a context manager: ``with provider: ...`` guarantees
 backend) even when the GA raises.  ``close()`` is idempotent.  Whether
 it is *final* depends on the backend: the serial and multiprocessing
 providers may be reused after closing (the next scoring call re-acquires
-whatever resources were released), while the thread provider and the
-fabric client treat ``close()`` as final and raise ``RuntimeError`` /
-``ClientClosedError`` on further scoring — a released thread pool or
-fabric registration must never silently resurrect.
+whatever resources were released), while the fabric client treats
+``close()`` as final and raises ``ClientClosedError`` on further
+scoring — a released fabric registration must never silently resurrect.
 
 Caching
 -------
-Both concrete providers share one caching surface,
+All concrete providers share one caching surface,
 :class:`CachingScoreProvider`: an exact sequence-keyed **bounded LRU**
 (the paper's ``copy`` operation re-submits identical sequences every
 generation, so the cache is load-bearing).  Hit/miss/eviction counts are
-reported through the telemetry registry under ``provider.cache.*``;
-the legacy ``cache_hits`` / ``cache_misses`` attributes remain available
-as deprecated read-only properties for one release.
+reported through the telemetry registry under ``provider.cache.*`` and
+by :attr:`CachingScoreProvider.cache_stats`.
+
+Scoring
+-------
+:func:`score_batch` is the one per-candidate scoring routine: the serial
+provider, every parallel worker and the master's degraded path call it.
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "CachingScoreProvider",
     "SerialScoreProvider",
     "FitnessFunction",
+    "score_batch",
 ]
 
 
@@ -281,32 +285,6 @@ class CachingScoreProvider(ScoreProvider):
             "size": len(self._cache),
         }
 
-    # -- deprecated pre-telemetry surface -----------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        """Deprecated: read ``cache_stats['hits']`` or the telemetry
-        counter ``provider.cache.hits`` instead."""
-        warnings.warn(
-            "cache_hits is deprecated; use cache_stats or the telemetry "
-            "counter provider.cache.hits",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._hits
-
-    @property
-    def cache_misses(self) -> int:
-        """Deprecated: read ``cache_stats['misses']`` or the telemetry
-        counter ``provider.cache.misses`` instead."""
-        warnings.warn(
-            "cache_misses is deprecated; use cache_stats or the telemetry "
-            "counter provider.cache.misses",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._misses
-
 
 class SerialScoreProvider(CachingScoreProvider):
     """In-process provider: the reference implementation of Algorithm 2's
@@ -350,34 +328,67 @@ class SerialScoreProvider(CachingScoreProvider):
         arrays: list[np.ndarray],
         provenances: list[Provenance | None] | None = None,
     ) -> list[ScoreSet]:
-        names = [self.target, *self.non_targets]
         provs = provenances if provenances is not None else [None] * len(arrays)
-        out: list[ScoreSet] = []
+        problem = (self.target, self.non_targets)
         with self.telemetry.span("provider.serial.score"):
-            # Build every candidate's similarity structure through the
-            # batched entry points — one stacked kernel pass covers all
-            # full sweeps (and, per delta child, all its dirty rows) —
-            # then collapse each structure into scores.
-            with self.engine.telemetry.span("pipe.window_build"):
-                if self.use_delta:
-                    built = self._similarity_cache.similarity_batch(
-                        self.engine.database, arrays, provs
-                    )
-                else:
-                    built = [
-                        (sim, None)
-                        for sim in self.engine.database.sequence_similarity_batch(
-                            arrays
-                        )
-                    ]
-            for arr, (similarity, stats) in zip(arrays, built):
-                if self.use_delta:
-                    self._record_delta(stats)
-                scored = self.engine.score_against(
-                    arr, names, similarity=similarity, delta=stats
-                )
-                out.append(scored.score_set(self.target, self.non_targets))
-        return out
+            scored = score_batch(
+                self.engine,
+                self._similarity_cache,
+                arrays,
+                provs,
+                [problem] * len(arrays),
+                self.use_delta,
+            )
+        for _, stats in scored:
+            self._record_delta(stats)
+        return [scores for scores, _ in scored]
+
+
+def score_batch(
+    engine: PipeEngine,
+    similarity_cache: SimilarityLRU | None,
+    arrays: list[np.ndarray],
+    provenances: list[Provenance | None],
+    problems: list[tuple[str, Sequence[str]]],
+    use_delta: bool,
+) -> list[tuple[ScoreSet, DeltaStats | None]]:
+    """Score a batch of candidates: Algorithm 2's per-candidate work.
+
+    Builds every candidate's similarity structure through the batched
+    entry points — one stacked kernel pass covers all full sweeps (and,
+    per delta child, all its dirty rows) — then collapses each structure
+    into scores against that item's ``(target, non_targets)`` problem.
+    With ``use_delta`` the structures come from ``similarity_cache``,
+    patched from the parents named by ``provenances``; without it every
+    candidate pays the full sweep and provenance is ignored.
+
+    Returns one ``(ScoreSet, DeltaStats | None)`` per candidate, in input
+    order; the caller folds the stats into its telemetry (a worker ships
+    them back to the master).  Delta re-scoring is bit-exact with the
+    full sweep, so the scores do not depend on which caller ran the batch
+    or what its cache held.
+    """
+    if not arrays:
+        return []
+    with engine.telemetry.span("pipe.window_build"):
+        if use_delta:
+            built = similarity_cache.similarity_batch(
+                engine.database, arrays, provenances
+            )
+        else:
+            built = [
+                (sim, None)
+                for sim in engine.database.sequence_similarity_batch(arrays)
+            ]
+    out: list[tuple[ScoreSet, DeltaStats | None]] = []
+    for arr, (similarity, stats), (target, non_targets) in zip(
+        arrays, built, problems
+    ):
+        scored = engine.score_against(
+            arr, [target, *non_targets], similarity=similarity, delta=stats
+        )
+        out.append((scored.score_set(target, non_targets), stats))
+    return out
 
 
 class FitnessFunction:

@@ -7,16 +7,18 @@ and send them back.  This package reproduces that architecture on
 :mod:`multiprocessing`:
 
 * :mod:`repro.parallel.messages` — the wire protocol;
-* :mod:`repro.parallel.scheduler` — master-side on-demand (and, for
-  ablation, static) work scheduling, testable without processes;
-* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2);
+* :mod:`repro.parallel.worker` — the worker main loop (Algorithm 2),
+  scoring one chunk at a time through
+  :func:`~repro.ga.fitness.score_batch`;
 * :mod:`repro.parallel.mp_backend` — the
   :class:`~repro.ga.fitness.ScoreProvider` implementation that the GA
-  engine plugs in unchanged;
+  engine plugs in unchanged: one queue per worker, balanced per-worker
+  chunks (:func:`~repro.parallel.mp_backend.plan_chunks`) handed out on
+  demand;
 * :mod:`repro.parallel.elastic` — the telemetry-driven elastic pool
   control loop (:class:`~repro.parallel.elastic.ScalingPolicy` and
   friends) that resizes the pool between ``min_workers`` and
-  ``max_workers`` and chunks dispatch to a latency target;
+  ``max_workers`` and sizes chunks to a latency target;
 * :mod:`repro.parallel.multirack` — the paper's proposed multi-rack
   extension (one master per rack, elite synchronisation each generation).
 
@@ -44,8 +46,10 @@ from repro.parallel.elastic import (
     make_scaling_policy,
 )
 from repro.parallel.messages import (
+    ChunkResult,
     EndSignal,
     RetireSignal,
+    WorkChunk,
     WorkFailure,
     WorkItem,
     WorkResult,
@@ -54,23 +58,14 @@ from repro.parallel.mp_backend import (
     DeadWorkerError,
     MultiprocessScoreProvider,
     WorkerFailureError,
+    plan_chunks,
 )
 from repro.parallel.multirack import MultiRackGA, RackResult
-from repro.parallel.scheduler import (
-    OnDemandScheduler,
-    Scheduler,
-    StaticScheduler,
-    StickyScheduler,
-)
-from repro.parallel.worker import (
-    FaultPlan,
-    WorkerContext,
-    score_candidate,
-    score_candidate_with_delta,
-)
+from repro.parallel.worker import FaultPlan, WorkerContext
 
 __all__ = [
     "SCALING_POLICIES",
+    "ChunkResult",
     "DeadWorkerError",
     "ElasticController",
     "EndSignal",
@@ -79,21 +74,17 @@ __all__ = [
     "LatencyTargetScaling",
     "MultiRackGA",
     "MultiprocessScoreProvider",
-    "OnDemandScheduler",
     "PoolSnapshot",
     "QueueDepthScaling",
     "RackResult",
     "RetireSignal",
-    "Scheduler",
     "ScalingPolicy",
-    "StaticScheduler",
-    "StickyScheduler",
+    "WorkChunk",
     "WorkFailure",
     "WorkItem",
     "WorkResult",
     "WorkerContext",
     "WorkerFailureError",
     "make_scaling_policy",
-    "score_candidate",
-    "score_candidate_with_delta",
+    "plan_chunks",
 ]

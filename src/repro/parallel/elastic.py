@@ -10,18 +10,18 @@ paper's Blue Gene/Q deployment never had to face on shared hardware:
   is already committed to the queues.
 
 This module closes the loop from *observed* runtime behaviour — queue
-depth, a per-item latency EWMA, and sticky-backlog skew — back to the
-pool itself:
+depth, a per-item latency EWMA, and per-worker backlog skew — back to
+the pool itself:
 
 * :class:`PoolSnapshot` — the observation record the provider assembles
   on every scheduling step (pure data, trivially testable);
 * :class:`ScalingPolicy` — the pluggable decision interface mapping a
   snapshot to a desired worker count and an optional dispatch chunk
   limit.  Three implementations ship: :class:`FixedScaling` (the legacy
-  behaviour — never resizes, floods the queue), :class:`QueueDepthScaling`
-  (size the pool to the backlog) and :class:`LatencyTargetScaling`
-  (size the pool *and* the in-flight window so the backlog drains within
-  a wall-clock target);
+  behaviour — never resizes, one chunk per worker),
+  :class:`QueueDepthScaling` (size the pool to the backlog) and
+  :class:`LatencyTargetScaling` (size the pool *and* the chunks so the
+  backlog drains within a wall-clock target);
 * :class:`ElasticController` — wraps a policy with the latency EWMA and
   a resize cooldown built on the injectable-clock
   :class:`~repro.resilience.Deadline` from the resilience layer, so the
@@ -77,9 +77,9 @@ class PoolSnapshot:
         Exponentially weighted moving average of worker-reported per-item
         wall time; 0.0 until the first result arrives.
     max_sticky_backlog:
-        The largest per-worker sticky (affinity) backlog of the batch —
-        the skew signal: one hot worker hoarding children while siblings
-        idle.
+        The largest per-worker backlog of the batch (items planned for or
+        sent to one worker and not yet acknowledged) — the skew signal:
+        one hot worker holding work while siblings idle.
     batch_size:
         Total items in the current batch.
     """
@@ -123,8 +123,9 @@ class ScalingPolicy(ABC):
         """The pool size this policy wants, given the observation."""
 
     def chunk_limit(self, snap: PoolSnapshot) -> int | None:
-        """Cap on items in flight (dispatch chunking); ``None`` floods
-        the whole batch at once (the legacy behaviour)."""
+        """Cap on items in flight across the pool; the provider sizes
+        each worker's chunk to an equal part of it.  ``None`` sends each
+        worker its whole share at once."""
         return None
 
     def __repr__(self) -> str:
@@ -149,9 +150,8 @@ class QueueDepthScaling(ScalingPolicy):
     The pool grows toward one worker per ``items_per_worker`` backlog
     items and shrinks as the batch drains, so a bursty campaign gets
     workers when the queue is deep and releases them (and their memory)
-    between bursts.  A sticky-backlog skew larger than twice the fair
-    share asks for one extra worker — the stealing target that relieves
-    a hot affinity queue.
+    between bursts.  A per-worker backlog larger than twice the fair
+    share asks for one extra worker, which takes work off the hot one.
     """
 
     name = "queue-depth"
@@ -186,7 +186,7 @@ class LatencyTargetScaling(ScalingPolicy):
 
     * **pool size** — enough workers that the remaining backlog drains
       within ``target_s``: ``ceil(backlog * ewma / target_s)``;
-    * **chunk size** — per worker, only as many queued items as fit in
+    * **chunk size** — per worker, only as many items as fit in
       ``target_s`` of work, so dispatch stays responsive to stragglers
       instead of committing the whole generation to the queues up front.
 
@@ -330,7 +330,7 @@ class ElasticController:
         return desired
 
     def chunk_limit(self, snap: PoolSnapshot) -> int | None:
-        """The policy's cap on in-flight items (``None`` = flood)."""
+        """The policy's cap on in-flight items (``None`` = no cap)."""
         return self.policy.chunk_limit(snap)
 
     def stats(self) -> dict[str, object]:

@@ -1,12 +1,11 @@
 """Wire protocol between the InSiPS master and workers.
 
-Mirrors the MPI message flow of Algorithms 1–2: the master answers each
-work request with either a candidate sequence to analyse or an END signal;
-workers attach the result of their previous assignment to the next request.
-With :mod:`multiprocessing` queues the request/response pair collapses into
-a shared task queue (the queue *is* the on-demand dispatcher), but the
-message payloads are kept explicit so the scheduler logic stays testable
-and transport-independent.
+Mirrors the MPI message flow of Algorithms 1–2 at chunk granularity: the
+master answers each worker's request for work with either a
+:class:`WorkChunk` of candidate sequences or an END signal, and the
+worker's :class:`ChunkResult` for one chunk is its request for the next.
+Each worker has its own queue, so the request is implicit: the master
+sends a worker its next chunk when the previous one comes back.
 
 Every dispatch-side message carries a ``batch_epoch``: the master tags each
 batch with a monotonically increasing epoch and drops any reply stamped
@@ -26,7 +25,15 @@ import numpy as np
 from repro.ga.fitness import ScoreSet
 from repro.ppi.delta import DeltaStats, Provenance
 
-__all__ = ["WorkItem", "WorkResult", "WorkFailure", "EndSignal", "RetireSignal"]
+__all__ = [
+    "ChunkResult",
+    "EndSignal",
+    "RetireSignal",
+    "WorkChunk",
+    "WorkFailure",
+    "WorkItem",
+    "WorkResult",
+]
 
 
 @dataclass(frozen=True)
@@ -43,8 +50,8 @@ class WorkItem:
     default one, so one pool can serve many concurrent design campaigns
     (see :mod:`repro.fabric`).  ``problem`` carries the problem spec
     itself; a worker seeing an unknown id registers it from the spec on
-    first sight — self-describing items make registration race-free on
-    the shared queue (no control-message ordering to get wrong).
+    first sight — self-describing items make registration race-free (no
+    control-message ordering to get wrong).
     """
 
     sequence_id: int
@@ -113,8 +120,32 @@ class WorkResult:
 
 
 @dataclass(frozen=True)
+class WorkChunk:
+    """Master → one worker: a run of items the worker scores as one batch.
+
+    The unit of dispatch.  The master sends each worker at most one chunk
+    at a time, on that worker's own queue, and sends the next one when
+    the :class:`ChunkResult` comes back.
+    """
+
+    items: tuple[WorkItem, ...]
+    batch_epoch: int = 0
+
+
+@dataclass(frozen=True)
+class ChunkResult:
+    """Worker → master: the scores of one :class:`WorkChunk`, one
+    :class:`WorkResult` per item (an item that failed is reported by its
+    own :class:`WorkFailure` instead)."""
+
+    worker_id: int
+    batch_epoch: int
+    results: tuple[WorkResult, ...]
+
+
+@dataclass(frozen=True)
 class WorkFailure:
-    """Worker → master: ``score_candidate`` raised for one candidate.
+    """Worker → master: scoring raised for one candidate.
 
     Carries the exception summary and the full formatted traceback so the
     master can surface the *worker-side* stack in its own error instead of
@@ -137,14 +168,14 @@ class EndSignal:
 
 @dataclass(frozen=True)
 class RetireSignal:
-    """Master → one worker: drain out and exit (elastic scale-down).
+    """Master → one worker: finish the chunk in hand and exit (elastic
+    scale-down).
 
-    Unlike :class:`EndSignal` (broadcast on the shared queue and
-    re-enqueued by each worker for its siblings), a retire travels on a
-    single worker's *private* queue and is never re-enqueued: exactly one
-    worker leaves, the rest of the pool keeps serving.  The master drains
-    the worker's private queue back onto the shared queue *before*
-    sending the signal, so no parked item can be lost behind it.
+    Unlike :class:`EndSignal` (sent to every worker at shutdown), a
+    retire stops one worker while the rest of the pool keeps serving.
+    The master takes back any chunk still waiting on the worker's queue
+    *before* sending the signal and hands it to a live worker, so no item
+    can be lost behind it.
     """
 
     reason: str = "scale_down"

@@ -16,8 +16,8 @@ days-long Blue Gene/Q campaigns depend on:
 * the collection loop polls on short sub-timeouts and checks
   ``Process.is_alive()`` whenever the result queue is quiet — a dead
   worker is reaped, a replacement (with a fresh worker id) is spawned,
-  and the epoch's unacknowledged items are re-dispatched under a bounded
-  per-item retry budget;
+  and the dead worker's unacknowledged chunk goes to a live worker under
+  a bounded per-item retry budget;
 * a worker-side scoring exception arrives as a
   :class:`~repro.parallel.messages.WorkFailure` and is re-raised on the
   master as :class:`WorkerFailureError` carrying the worker traceback,
@@ -29,8 +29,8 @@ By default the provider **never abandons a batch to the pool**: when the
 re-dispatch retry budget is exhausted (workers keep dying) or the
 collection loop stalls past ``timeout`` (workers hang), the lost items
 are scored *serially in the master* through the same
-``score_candidate_with_delta`` path the workers run — bit-exact with the
-pool's answers — and counted as ``parallel.degraded_items`` /
+:func:`~repro.ga.fitness.score_batch` the workers run — bit-exact with
+the pool's answers — and counted as ``parallel.degraded_items`` /
 ``parallel.degraded_batches``.  A
 :class:`~repro.resilience.CircuitBreaker` then keeps subsequent batches
 serial (no respawn-and-die thrash); every few batches it lets one
@@ -43,28 +43,40 @@ Shutdown is bounded: ``close()`` joins each worker under a grace period,
 then escalates ``terminate()`` → ``kill()`` (counted as
 ``parallel.force_killed``), so a hung worker cannot wedge the master.
 
+Chunked dispatch
+----------------
+Each worker has its own queue and holds at most one chunk at a time.
+The master splits every batch into one balanced share per live worker
+(:func:`plan_chunks`: each share within one item of ``ceil(n/live)``),
+placing a child with the worker that scored its parent whenever balance
+allows — that worker's similarity LRU then answers the delta re-score.
+A worker's share goes out as one :class:`~repro.parallel.messages.WorkChunk`;
+when its :class:`~repro.parallel.messages.ChunkResult` comes back the
+worker gets the next chunk (a requeued one, the rest of its share, or
+part of the largest remaining share), so no worker idles while work is
+undispatched.  Affinity is advisory: a mis-placed child only costs a
+full sweep, never a wrong score.
+
 Elastic pool (the telemetry-driven control loop)
 ------------------------------------------------
 The pool is *elastic*: a :class:`~repro.parallel.elastic.ScalingPolicy`
 (``scaling="fixed" | "queue-depth" | "latency-target"``, or any policy
-instance) observes queue depth, a per-item latency EWMA and
-sticky-backlog skew on every scheduling step and resizes the pool
-between ``min_workers`` and ``max_workers``:
+instance) observes queue depth, a per-item latency EWMA and per-worker
+backlog skew on every scheduling step and resizes the pool between
+``min_workers`` and ``max_workers``:
 
 * **scale-up** spawns workers that *late-attach* to the existing
   :class:`~repro.ppi.shm.SharedProteomeView` segment (a handle, not a
   pickled engine, crosses the process boundary — the same broadcast the
   initial pool got);
-* **scale-down** retires a worker through a private
-  :class:`~repro.parallel.messages.RetireSignal` after draining its
-  sticky queue back to the shared pool, so affinity routing and the
-  retry accounting survive the resize — a retiring worker that crashes
-  instead of exiting cleanly is recovered by the exact death machinery
-  above;
-* **chunked dispatch**: instead of flooding the task queue with the
-  whole generation, the policy may cap in-flight items
-  (latency-target sizes the window to ``target_s`` of work per worker),
-  keeping the master responsive to stragglers.
+* **scale-down** takes back a retiring worker's chunk if it is still
+  queued, hands it to a live worker, then sends a
+  :class:`~repro.parallel.messages.RetireSignal` — a retiring worker
+  that crashes instead of exiting cleanly is recovered by the exact
+  death machinery above;
+* **chunk size**: the policy may cap it (latency-target sizes chunks to
+  ``target_s`` of work per worker), keeping the master responsive to
+  stragglers.
 
 Policies decide, the provider executes — so elastic runs return scores
 bit-exact with the fixed pool, whatever the policy does.  The control
@@ -90,15 +102,15 @@ behind the paper's Figures 5–6.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import queue as queue_mod
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 
 import numpy as np
 
+from repro.ga import fitness
 from repro.ga.fitness import CachingScoreProvider, ScoreSet
 from repro.parallel.elastic import (
     ElasticController,
@@ -107,18 +119,15 @@ from repro.parallel.elastic import (
     make_scaling_policy,
 )
 from repro.parallel.messages import (
+    ChunkResult,
     EndSignal,
     RetireSignal,
+    WorkChunk,
     WorkFailure,
     WorkItem,
     WorkResult,
 )
-from repro.parallel.worker import (
-    FaultPlan,
-    WorkerContext,
-    score_candidate_with_delta,
-    worker_loop,
-)
+from repro.parallel.worker import FaultPlan, WorkerContext, worker_loop
 from repro.ppi.delta import Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
@@ -129,22 +138,55 @@ __all__ = [
     "MultiprocessScoreProvider",
     "WorkerFailureError",
     "DeadWorkerError",
+    "plan_chunks",
 ]
 
 
 class WorkerFailureError(RuntimeError):
-    """A worker's ``score_candidate`` raised; carries the worker traceback."""
+    """Scoring raised inside a worker; carries the worker traceback."""
 
 
 class DeadWorkerError(RuntimeError):
     """Workers died and an item exhausted its re-dispatch retry budget."""
 
 
-def _worker_entry(worker_id, context, task_queue, result_queue, sticky_queue=None):
+def _worker_entry(worker_id, context, task_queue, result_queue):
     """Top-level function so it pickles under any start method."""
-    worker_loop(
-        worker_id, context, task_queue, result_queue, sticky_queue=sticky_queue
-    )
+    worker_loop(worker_id, context, task_queue, result_queue)
+
+
+def plan_chunks(
+    preferred: list[int | None], workers: list[int]
+) -> tuple[dict[int, list[int]], int]:
+    """Split items ``0..n-1`` into one balanced share per worker.
+
+    Every worker gets ``floor(n/live)`` or ``ceil(n/live)`` items; the
+    ``n % live`` larger shares go to the workers most items prefer.  Item
+    ``i`` joins its ``preferred[i]`` worker (the one that scored its
+    parent) while that share has room; the rest fill the remaining room
+    in ``workers`` order.  Returns the shares, each in item order, and
+    how many items were placed with their preferred worker.
+    """
+    if not workers:
+        raise ValueError("plan_chunks needs at least one worker")
+    base, extra = divmod(len(preferred), len(workers))
+    demand = Counter(p for p in preferred if p is not None)
+    ranked = sorted(workers, key=lambda wid: (-demand[wid], wid))
+    quota = {wid: base + (rank < extra) for rank, wid in enumerate(ranked)}
+    shares: dict[int, list[int]] = {wid: [] for wid in workers}
+    unplaced: list[int] = []
+    for i, wid in enumerate(preferred):
+        if wid in shares and len(shares[wid]) < quota[wid]:
+            shares[wid].append(i)
+        else:
+            unplaced.append(i)
+    routed = len(preferred) - len(unplaced)
+    rest = iter(unplaced)
+    for wid in workers:
+        for _ in range(quota[wid] - len(shares[wid])):
+            shares[wid].append(next(rest))
+        shares[wid].sort()
+    return shares, routed
 
 
 class MultiprocessScoreProvider(CachingScoreProvider):
@@ -218,15 +260,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         path's patch source) and of the master's parent→worker affinity
         map that mirrors it.
     use_delta:
-        When False, workers always run the full similarity sweep and no
-        sticky routing happens (the benchmark baseline).
-    sticky:
-        When True (default), a child whose parents were scored by a live
-        worker is routed to that worker's private queue so its similarity
-        LRU can answer the delta re-score; per-worker sticky backlog is
-        capped at roughly twice the fair share of the batch, the overflow
-        going to the shared on-demand queue.  Routing is advisory: a
-        mis-route only costs a full sweep, never a wrong score.
+        When False, workers always run the full similarity sweep and
+        chunks are planned without parent affinity (the benchmark
+        baseline).
     share_memory:
         When True (default), the database's read-only arrays are placed
         in a single ``multiprocessing.shared_memory`` segment
@@ -263,7 +299,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         cache_size: int = 100_000,
         similarity_cache_size: int = 256,
         use_delta: bool = True,
-        sticky: bool = True,
         fail_fast: bool = False,
         breaker: CircuitBreaker | None = None,
         close_grace_s: float = 10.0,
@@ -323,7 +358,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.poll_interval = float(poll_interval)
         self.max_retries = int(max_retries)
         self.use_delta = bool(use_delta)
-        self.sticky = bool(sticky) and self.use_delta
         self.fail_fast = bool(fail_fast)
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.close_grace_s = float(close_grace_s)
@@ -332,10 +366,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self.share_memory = bool(share_memory)
         self._shm_view: SharedProteomeView | None = None
         self._ship_context: WorkerContext = self.context
-        self._task_queue = None
         self._result_queue = None
         self._workers: dict[int, mp.Process] = {}
-        self._sticky_queues: dict[int, object] = {}
+        # Each worker's own queue: its chunks, then End/RetireSignal.
+        self._queues: dict[int, object] = {}
         self._retiring: dict[int, mp.Process] = {}
         self._next_worker_id = 0
         # Fabric-registered problems: items dispatched through
@@ -428,9 +462,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         cache: that LRU is keyed by sequence bytes alone, which is only
         correct when every item shares one problem.  Fabric clients keep
         their own per-problem caches instead.  Degradation, retries,
-        sticky routing and the elastic pool behave exactly as in
+        chunk planning and the elastic pool behave exactly as in
         :meth:`scores` — the similarity sweep is problem-independent, so
-        affinity routing across problems stays valid.
+        parent affinity across problems stays valid.
         """
         arrs = [np.asarray(a, dtype=np.uint8) for a in arrays]
         provs = (
@@ -451,12 +485,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
     # -- lifecycle ---------------------------------------------------------
 
     def _spawn_worker(self) -> int:
-        """Start one worker process under a fresh, never-reused worker id.
+        """Start one worker process under a fresh, never-reused worker id,
+        with its own queue.
 
-        Every worker gets a private queue — the sticky (affinity) lane
-        when routing is on, and always the control lane a
-        :class:`~repro.parallel.messages.RetireSignal` travels on.  A
-        worker spawned mid-campaign (elastic scale-up) late-attaches to
+        A worker spawned mid-campaign (elastic scale-up) late-attaches to
         the existing shared proteome segment; if the segment is somehow
         gone the pickled engine is shipped instead — slower, never wrong.
         """
@@ -468,21 +500,15 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self._shm_view.handle
             ):  # pragma: no cover - defensive, segment lives while open
                 ship = self.context
-        sticky_queue = self._ctx.Queue()
+        task_queue = self._ctx.Queue()
         proc = self._ctx.Process(
             target=_worker_entry,
-            args=(
-                wid,
-                ship,
-                self._task_queue,
-                self._result_queue,
-                sticky_queue,
-            ),
+            args=(wid, ship, task_queue, self._result_queue),
             daemon=True,
         )
         proc.start()
         self._workers[wid] = proc
-        self._sticky_queues[wid] = sticky_queue
+        self._queues[wid] = task_queue
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
         return wid
 
@@ -510,7 +536,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 self._ship_context = self.context.for_shipment(
                     self._shm_view.handle
                 )
-            self._task_queue = self._ctx.Queue()
             self._result_queue = self._ctx.Queue()
             for _ in range(self._target_workers):
                 self._spawn_worker()
@@ -521,35 +546,19 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self._release_shm()
             super().close()
             return
-        # Drain replies orphaned by a failed batch so worker result puts
-        # cannot block shutdown; likewise sticky items never pulled.
-        while True:
-            try:
-                self._result_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-        for sticky_queue in self._sticky_queues.values():
-            while True:
-                try:
-                    sticky_queue.get_nowait()
-                except queue_mod.Empty:
-                    break
-        # WorkItems orphaned on the *shared* queue by a failed/timed-out
-        # batch would otherwise be scored ahead of the EndSignal — wasted
-        # work that delays shutdown.  Pull them off first and account for
-        # them as stale, like their orphaned replies.
-        while True:
-            try:
-                orphan = self._task_queue.get_nowait()
-            except queue_mod.Empty:
-                break
-            if isinstance(orphan, EndSignal):  # pragma: no cover - defensive
-                continue
-            self._drop_stale()
-        if self._task_queue is not None:
-            self._task_queue.put(EndSignal())
+        # Chunks a failed or timed-out batch left on the queues would be
+        # scored ahead of the EndSignal — wasted work that delays
+        # shutdown.  Take them back first and account for them as stale,
+        # like the orphaned replies drained while the workers exit.
+        for task_queue in self._queues.values():
+            self._drain_stale(task_queue)
+            task_queue.put(EndSignal())
         for proc in [*self._workers.values(), *self._retiring.values()]:
-            proc.join(timeout=self.close_grace_s)
+            deadline = time.monotonic() + self.close_grace_s
+            while proc.is_alive() and time.monotonic() < deadline:
+                # Keep reading replies so no worker blocks flushing one.
+                self._drain_stale(self._result_queue)
+                proc.join(timeout=0.05)
             if proc.is_alive():
                 # A hung or wedged worker will never see the EndSignal;
                 # escalate so close() stays bounded.
@@ -560,16 +569,31 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     proc.join(timeout=1.0)
                 self.force_killed += 1
                 self.telemetry.count("parallel.force_killed")
+        self._drain_stale(self._result_queue)
         self._workers = {}
-        self._sticky_queues = {}
+        self._queues = {}
         self._retiring = {}
         self._affinity.clear()
-        self._task_queue = None
         self._result_queue = None
         # Workers are gone (joined, terminated or killed above), so this
         # is the last mapping in our ownership scope: unlink-on-last-close.
         self._release_shm()
         super().close()
+
+    def _drain_stale(self, source) -> None:
+        """Empty a queue, counting every item of every chunk, result or
+        failure on it as stale."""
+        while True:
+            try:
+                msg = source.get_nowait()
+            except queue_mod.Empty:
+                return
+            if isinstance(msg, WorkChunk):
+                self._drop_stale(len(msg.items))
+            elif isinstance(msg, ChunkResult):
+                self._drop_stale(len(msg.results))
+            elif isinstance(msg, WorkFailure):
+                self._drop_stale()
 
     def _release_shm(self) -> None:
         """Drop the shared proteome segment; safe with dead workers (the
@@ -583,17 +607,23 @@ class MultiprocessScoreProvider(CachingScoreProvider):
 
     def _preferred_worker(self, provenance: Provenance | None) -> int | None:
         """The live worker most likely to hold the parents' similarity
-        structures (by the master's scored-by affinity map)."""
+        structures (by the master's scored-by affinity map), weighted by
+        how many child residues each parent covers."""
         if provenance is None:
             return None
         votes: dict[int, int] = {}
-        for key in provenance.parent_keys():
-            wid = self._affinity.get(key)
+        for segment in provenance.segments:
+            wid = self._affinity.get(segment.parent_key)
             if wid is not None and wid in self._workers:
-                votes[wid] = votes.get(wid, 0) + 1
+                votes[wid] = votes.get(wid, 0) + segment.length
         if not votes:
             return None
         return max(votes, key=lambda wid: (votes[wid], -wid))
+
+    def _problem_of(self, pid: int | None) -> tuple[str, tuple[str, ...]]:
+        if pid is None:
+            return self.context.target, tuple(self.context.non_targets)
+        return self._problems[pid]
 
     def _score_uncached(
         self,
@@ -618,7 +648,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         if degrade and not self.breaker.allow():
             # Breaker open: the pool recently lost a batch; stay serial
             # (no respawn-and-die thrash) until a probe is due.
-            results = self._score_batch_serial(
+            results = self._score_in_master(
                 arrays, provs, pids, reason="breaker_open"
             )
         else:
@@ -641,30 +671,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._batch_wall += time.perf_counter() - start
         return results
 
-    def _sticky_cap(self, batch_size: int) -> int:
-        """Sticky backlog cap: at most ~2x the fair share per *live*
-        worker, so affinity routing cannot starve the on-demand load
-        balance — computed against the pool that actually exists, not the
-        configured size (deaths and elastic resizes make them differ)."""
-        return max(2, math.ceil(2 * batch_size / max(1, len(self._workers))))
-
-    def _snapshot(
-        self,
-        pending: set[int],
-        outstanding: set[int],
-        sticky_load: dict[int, int],
-        batch_size: int,
-    ) -> PoolSnapshot:
-        """The observation record the elastic controller decides from."""
-        return PoolSnapshot(
-            live_workers=len(self._workers),
-            backlog=len(pending),
-            outstanding=len(outstanding),
-            latency_ewma_s=self._controller.latency_ewma_s,
-            max_sticky_backlog=max(sticky_load.values(), default=0),
-            batch_size=batch_size,
-        )
-
     def _set_queue_depth(self, depth: int) -> None:
         self.telemetry.set_gauge("parallel.queue_depth", depth)
 
@@ -677,8 +683,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Dispatch one batch to the worker pool; returns the scores and
         how many items had to be degraded to master-serial scoring."""
         self._ensure_started()
-        # Workers lost *between* batches: reap them now so the sticky cap
-        # and the controller observe the real pool, then refill to target.
+        # Workers lost *between* batches: reap them now so the plan and
+        # the controller observe the real pool, then refill to target.
         if self._reap_dead_workers():
             self._respawn_to_target()
         self._epoch += 1
@@ -686,63 +692,94 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         degraded = 0
         results: list[ScoreSet | None] = [None] * len(arrays)
         with self.telemetry.span("parallel.batch"):
-            sticky_cap = self._sticky_cap(len(arrays))
-            sticky_load: dict[int, int] = {}
-            items: dict[int, WorkItem] = {}
-            for sid, (arr, prov) in enumerate(zip(arrays, provs)):
-                pid = pids[sid]
-                items[sid] = WorkItem.from_encoded(
+            items = [
+                WorkItem.from_encoded(
                     sid,
                     arr,
                     batch_epoch=epoch,
-                    provenance=prov if self.use_delta else None,
-                    problem_id=pid,
-                    problem=self._problems[pid] if pid is not None else None,
+                    provenance=provs[sid] if self.use_delta else None,
+                    problem_id=pids[sid],
+                    problem=self._problems[pids[sid]]
+                    if pids[sid] is not None
+                    else None,
                 )
-            pending = set(items)
-            outstanding: set[int] = set()
-            undispatched = deque(sorted(items))
+                for sid, arr in enumerate(arrays)
+            ]
+            pending = set(range(len(items)))
+            # Planned, not yet sent: one share per worker, plus the items
+            # taken back from dead or retiring workers (served first).
+            shares: dict[int, deque[int]] = {}
+            requeued: deque[int] = deque()
+            # The one sent, unacknowledged chunk of each worker.
+            inflight: dict[int, tuple[int, ...]] = {}
             retries: dict[int, int] = {}
 
-            def dispatch_next() -> None:
-                sid = undispatched.popleft()
-                item = items[sid]
-                wid = self._preferred_worker(provs[sid]) if self.sticky else None
-                if wid is not None and sticky_load.get(wid, 0) < sticky_cap:
-                    self._sticky_queues[wid].put(item)
-                    sticky_load[wid] = sticky_load.get(wid, 0) + 1
-                    self.sticky_routed += 1
-                    self.telemetry.count("parallel.sticky_routed")
-                else:
-                    self._task_queue.put(item)
-                outstanding.add(sid)
-                self.dispatched += 1
-                self.telemetry.count("parallel.dispatched")
+            def load() -> dict[int, int]:
+                return {
+                    wid: len(shares.get(wid, ())) + len(inflight.get(wid, ()))
+                    for wid in self._workers
+                }
 
-            def fill() -> None:
-                # Chunked dispatch: keep only the policy's in-flight window
-                # on the queues (None = flood, the fixed-policy behaviour);
-                # never less than one item per live worker.
-                limit = self._controller.chunk_limit(
-                    self._snapshot(pending, outstanding, sticky_load, len(arrays))
+            def snapshot() -> PoolSnapshot:
+                return PoolSnapshot(
+                    live_workers=len(self._workers),
+                    backlog=len(pending),
+                    outstanding=sum(len(c) for c in inflight.values()),
+                    latency_ewma_s=self._controller.latency_ewma_s,
+                    max_sticky_backlog=max(load().values(), default=0),
+                    batch_size=len(items),
                 )
-                if limit is not None:
-                    limit = max(limit, len(self._workers), 1)
-                while undispatched and (
-                    limit is None or len(outstanding) < limit
-                ):
-                    dispatch_next()
-                self._set_queue_depth(len(pending))
 
             def resize() -> None:
-                self._maybe_resize(
-                    self._snapshot(pending, outstanding, sticky_load, len(arrays)),
-                    sticky_load,
+                for wid, taken in self._maybe_resize(snapshot(), load()).items():
+                    if taken:
+                        inflight.pop(wid, None)
+                        requeued.extend(taken)
+
+            def fill() -> None:
+                # On demand: every idle live worker gets its next chunk,
+                # capped by the policy's chunk size (None = whole share).
+                limit = self._controller.chunk_limit(snapshot())
+                cap = (
+                    None
+                    if limit is None
+                    else max(1, limit // max(1, len(self._workers)))
                 )
+                idle = [wid for wid in self._workers if wid not in inflight]
+                # Workers with a share of their own are served before any
+                # idle worker steals from the largest remaining share.
+                idle.sort(key=lambda wid: not shares.get(wid))
+                for wid in idle:
+                    source = (
+                        requeued
+                        or shares.get(wid)
+                        or max(shares.values(), key=len, default=None)
+                    )
+                    if not source:
+                        break  # nothing left to send
+                    take = len(source) if cap is None else min(cap, len(source))
+                    sids = tuple(sorted(source.popleft() for _ in range(take)))
+                    if source is not requeued:
+                        self.dispatched += take
+                        self.telemetry.count("parallel.dispatched", take)
+                    inflight[wid] = sids
+                    self._queues[wid].put(
+                        WorkChunk(tuple(items[sid] for sid in sids), epoch)
+                    )
+                self._set_queue_depth(len(pending))
 
             try:
-                fill()
                 resize()
+                preferred = [
+                    self._preferred_worker(prov) if self.use_delta else None
+                    for prov in provs
+                ]
+                plan, routed = plan_chunks(preferred, list(self._workers))
+                shares.update((wid, deque(sids)) for wid, sids in plan.items())
+                if routed:
+                    self.sticky_routed += routed
+                    self.telemetry.count("parallel.sticky_routed", routed)
+                fill()
                 last_progress = self._clock()
                 while pending:
                     try:
@@ -750,8 +787,11 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     except queue_mod.Empty:
                         dead = self._reap_dead_workers()
                         if dead:
+                            lost = sorted(
+                                sid for wid in dead for sid in inflight.pop(wid, ())
+                            )
                             try:
-                                self._recover(dead, items, outstanding, retries)
+                                self._recover(dead, lost, retries)
                             except DeadWorkerError as exc:
                                 if self.fail_fast:
                                     raise
@@ -760,8 +800,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                                     reason=str(exc),
                                 )
                                 break
+                            requeued.extend(lost)
                             last_progress = self._clock()
-                            fill()
                         elif self._clock() - last_progress > self.timeout:
                             missing = sorted(pending)
                             if self.fail_fast:
@@ -779,6 +819,7 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                             )
                             break
                         resize()
+                        fill()
                         continue
                     last_progress = self._clock()
                     if isinstance(msg, WorkFailure):
@@ -792,19 +833,24 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                             f"{msg.sequence_id}: {msg.error}\n"
                             f"--- worker traceback ---\n{msg.traceback}"
                         )
-                    if not isinstance(msg, WorkResult):  # pragma: no cover
+                    if not isinstance(msg, ChunkResult):  # pragma: no cover
                         raise TypeError(f"unexpected result {type(msg).__name__}")
-                    if msg.batch_epoch != epoch or msg.sequence_id not in pending:
-                        # Stale epoch, or a duplicate of a re-dispatched item
-                        # that completed twice — either way, not this batch's.
-                        self._drop_stale()
+                    if msg.batch_epoch != epoch:
+                        # Orphaned by an earlier, abandoned batch.
+                        self._drop_stale(len(msg.results))
                         continue
-                    results[msg.sequence_id] = msg.scores
-                    pending.discard(msg.sequence_id)
-                    outstanding.discard(msg.sequence_id)
-                    self._record_result(msg, items[msg.sequence_id].payload)
-                    fill()
+                    inflight.pop(msg.worker_id, None)
+                    for result in msg.results:
+                        sid = result.sequence_id
+                        if sid not in pending:
+                            # A requeued item that completed twice.
+                            self._drop_stale()
+                            continue
+                        results[sid] = result.scores
+                        pending.discard(sid)
+                        self._record_result(result, items[sid].payload)
                     resize()
+                    fill()
             finally:
                 # Whatever path ended the batch, consumers of the gauge
                 # must never read a stale mid-batch depth.
@@ -814,29 +860,42 @@ class MultiprocessScoreProvider(CachingScoreProvider):
 
     # -- graceful degradation ----------------------------------------------
 
-    def _score_serial(
+    def _score_in_master(
         self,
-        arr: np.ndarray,
-        prov: Provenance | None,
-        pid: int | None = None,
-    ) -> ScoreSet:
-        """Score one candidate in the master, exactly as a worker would.
+        arrays: list[np.ndarray],
+        provs: list[Provenance | None],
+        pids: list[int | None],
+        *,
+        reason: str,
+    ) -> list[ScoreSet]:
+        """Score items serially in the master, exactly as a worker would.
 
-        Runs the same :func:`~repro.parallel.worker.score_candidate_with_delta`
-        code path the workers run (delta re-scoring is bit-exact with the
-        full sweep), so a degraded item's scores match the pool's answer
-        bit for bit.  ``pid`` binds the item to a registered problem (the
-        fused path's degradations stay per-problem correct).
+        Runs the same :func:`~repro.ga.fitness.score_batch` the workers
+        run (delta re-scoring is bit-exact with the full sweep), so a
+        degraded item's scores match the pool's answer bit for bit.
+        Counts one degraded batch and ``len(arrays)`` degraded items.
         """
-        scores, stats = score_candidate_with_delta(
-            self.context,
-            arr,
-            provenance=prov if self.use_delta else None,
-            similarity_cache=self._master_similarity if self.use_delta else None,
-            problem=self._problems[pid] if pid is not None else None,
-        )
-        self._record_delta(stats)
-        return scores
+        # The pool may never have started (breaker tripped on batch one of
+        # a fresh provider after resume); make sure the master's engine
+        # holds the preprocessed problem structures.
+        self.context.warm_cache()
+        self.degraded_batches += 1
+        self.telemetry.count("parallel.degraded_batches")
+        self.telemetry.event("parallel.degraded", items=len(arrays), reason=reason)
+        with self.telemetry.span("parallel.degraded_scoring"):
+            scored = fitness.score_batch(
+                self.context.engine,
+                self._master_similarity,
+                arrays,
+                provs,
+                [self._problem_of(pid) for pid in pids],
+                self.use_delta,
+            )
+        for _, stats in scored:
+            self._record_delta(stats)
+        self.degraded_items += len(scored)
+        self.telemetry.count("parallel.degraded_items", len(scored))
+        return [scores for scores, _ in scored]
 
     def _degrade_pending(
         self,
@@ -851,68 +910,39 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Score this batch's unacknowledged items serially in the master.
 
         Called when the pool is lost (retry budget exhausted) or stalled
-        (no progress past ``timeout``); fills ``results`` in place, emits
-        the ``parallel.degraded_*`` telemetry and empties ``pending``.
+        (no progress past ``timeout``); fills ``results`` in place and
+        empties ``pending``.
         """
-        count = len(pending)
-        self.degraded_batches += 1
-        self.telemetry.count("parallel.degraded_batches")
-        self.telemetry.event(
-            "parallel.degraded", items=count, reason=reason
+        sids = sorted(pending)
+        scores = self._score_in_master(
+            [arrays[sid] for sid in sids],
+            [provs[sid] for sid in sids],
+            [pids[sid] for sid in sids],
+            reason=reason,
         )
-        with self.telemetry.span("parallel.degraded_scoring"):
-            for sid in sorted(pending):
-                results[sid] = self._score_serial(
-                    arrays[sid], provs[sid], pids[sid]
-                )
-                self.degraded_items += 1
-                self.telemetry.count("parallel.degraded_items")
+        for sid, score_set in zip(sids, scores):
+            results[sid] = score_set
         pending.clear()
-        return count
-
-    def _score_batch_serial(
-        self,
-        arrays: list[np.ndarray],
-        provs: list[Provenance | None],
-        pids: list[int | None],
-        *,
-        reason: str,
-    ) -> list[ScoreSet]:
-        """Score a whole batch serially without touching the pool (the
-        breaker-open path; also counts as a degraded batch)."""
-        # The pool may never have started (breaker tripped on batch one of
-        # a fresh provider after resume); make sure the master's engine
-        # holds the preprocessed problem structures.
-        self.context.warm_cache()
-        self.degraded_batches += 1
-        self.telemetry.count("parallel.degraded_batches")
-        self.telemetry.event(
-            "parallel.degraded", items=len(arrays), reason=reason
-        )
-        with self.telemetry.span("parallel.degraded_scoring"):
-            out: list[ScoreSet] = []
-            for arr, prov, pid in zip(arrays, provs, pids):
-                out.append(self._score_serial(arr, prov, pid))
-                self.degraded_items += 1
-                self.telemetry.count("parallel.degraded_items")
-        return out
+        return len(sids)
 
     # -- elastic control ---------------------------------------------------
 
     def _maybe_resize(
-        self, snap: PoolSnapshot, sticky_load: dict[int, int] | None = None
-    ) -> None:
+        self, snap: PoolSnapshot, load: dict[int, int]
+    ) -> dict[int, list[int]]:
         """Converge the pool toward the controller's decision.
 
         Scale-up spawns workers (late-attaching to the shared proteome
-        segment); scale-down retires the workers with the lightest sticky
-        load first, never dropping below one live worker mid-batch.  The
-        target is then pinned to the executed size so death recovery
+        segment); scale-down retires the least-loaded workers first,
+        never dropping below one live worker mid-batch.  The target is
+        then pinned to the executed size so death recovery
         (:meth:`_respawn_to_target`) refills to what the policy last
-        wanted, not the original ``num_workers``.
+        wanted, not the original ``num_workers``.  Returns, per retired
+        worker, the sequence ids of the chunk taken back from its queue.
         """
         desired = self._controller.decide(snap)
         live = len(self._workers)
+        taken: dict[int, list[int]] = {}
         if desired > live:
             added = 0
             while len(self._workers) < desired:
@@ -922,39 +952,43 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self.telemetry.count("parallel.scale_up", added)
         elif desired < live:
             floor = max(1, self.min_workers)
-            load = sticky_load or {}
-            # Retire the coldest workers first: the fewest parked sticky
-            # items to drain back, the least affinity state thrown away.
+            # Retire the coldest workers first: the least work to hand
+            # over, the least affinity state thrown away.
             candidates = sorted(
                 self._workers, key=lambda wid: (load.get(wid, 0), -wid)
             )
-            removed = 0
             for wid in candidates:
                 if len(self._workers) <= max(floor, desired):
                     break
-                self._retire_worker(wid)
-                removed += 1
-            if removed:
-                self.scale_downs += removed
-                self.telemetry.count("parallel.scale_down", removed)
+                taken[wid] = self._retire_worker(wid)
+            if taken:
+                self.scale_downs += len(taken)
+                self.telemetry.count("parallel.scale_down", len(taken))
         self._target_workers = len(self._workers)
+        return taken
 
-    def _retire_worker(self, wid: int) -> None:
-        """Retire one worker: drain its private queue back to the shared
-        pool, then send the :class:`RetireSignal` (FIFO guarantees no
-        parked item can be trapped behind the signal)."""
+    def _retire_worker(self, wid: int) -> list[int]:
+        """Retire one worker: take back its chunk if still queued, then
+        send the :class:`RetireSignal` (FIFO guarantees no chunk can be
+        trapped behind the signal).  Returns the taken-back sequence ids
+        of the current batch."""
         proc = self._workers.pop(wid)
         self._retiring[wid] = proc
-        sticky_queue = self._sticky_queues.pop(wid)
+        task_queue = self._queues.pop(wid)
+        taken: list[int] = []
         while True:
             try:
-                parked = sticky_queue.get_nowait()
+                parked = task_queue.get_nowait()
             except queue_mod.Empty:
                 break
-            if isinstance(parked, WorkItem):
-                self._task_queue.put(parked)
-        sticky_queue.put(RetireSignal())
+            if isinstance(parked, WorkChunk):
+                if parked.batch_epoch == self._epoch:
+                    taken.extend(item.sequence_id for item in parked.items)
+                else:
+                    self._drop_stale(len(parked.items))
+        task_queue.put(RetireSignal())
         self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
+        return taken
 
     def _respawn_to_target(self) -> None:
         """Refill the pool to the controller's last executed target."""
@@ -971,22 +1005,20 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         Retiring workers (elastic scale-down) are reaped here too: a clean
         exit (``exitcode`` 0) is the expected retirement and counts as
         ``parallel.retired``; a nonzero exit is a death like any other and
-        joins the returned list so recovery re-dispatches its items.
+        joins the returned list so recovery re-dispatches its chunk.
         """
         dead = [wid for wid, proc in self._workers.items() if not proc.is_alive()]
         for wid in dead:
             proc = self._workers.pop(wid)
             proc.join(timeout=0.1)
-            # Items parked on the dead worker's sticky queue are still in
-            # `pending`; recovery re-dispatches them on the shared queue.
-            self._sticky_queues.pop(wid, None)
+            self._queues.pop(wid, None)
             self.worker_deaths += 1
             self.telemetry.count("parallel.worker_deaths")
         for wid in [w for w, p in self._retiring.items() if not p.is_alive()]:
             proc = self._retiring.pop(wid)
             proc.join(timeout=0.1)
             if proc.exitcode not in (0, None):
-                # Died mid-retirement — its in-flight item needs recovery.
+                # Died mid-retirement — its chunk in hand needs recovery.
                 dead.append(wid)
                 self.worker_deaths += 1
                 self.telemetry.count("parallel.worker_deaths")
@@ -998,39 +1030,31 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         return dead
 
     def _recover(
-        self,
-        dead: list[int],
-        items: dict[int, WorkItem],
-        outstanding: set[int],
-        retries: dict[int, int],
+        self, dead: list[int], lost: list[int], retries: dict[int, int]
     ) -> None:
-        """Respawn replacements and re-dispatch unacknowledged items.
+        """Respawn replacements and charge the dead workers' lost items
+        one retry each; the caller requeues them for a live worker.
 
-        The shared task queue hides *which* item a dead worker held, so
-        every unacknowledged *dispatched* item of the epoch is
-        re-dispatched (chunked dispatch keeps the undispatched remainder
-        safe in the master); the epoch/pending guard in the collection
-        loop drops the duplicate replies this can produce.
+        Raises :class:`DeadWorkerError` when an item has already used its
+        ``max_retries`` re-dispatches.
         """
         self._respawn_to_target()
-        exhausted = sorted(
-            sid for sid in outstanding if retries.get(sid, 0) >= self.max_retries
-        )
+        exhausted = [sid for sid in lost if retries.get(sid, 0) >= self.max_retries]
         if exhausted:
             raise DeadWorkerError(
                 f"worker(s) {sorted(dead)} died and sequence(s) "
                 f"{exhausted[:10]} exhausted the retry budget of "
-                f"{self.max_retries}; {len(outstanding)} item(s) lost"
+                f"{self.max_retries}; {len(lost)} item(s) lost"
             )
-        for sid in sorted(outstanding):
+        for sid in lost:
             retries[sid] = retries.get(sid, 0) + 1
-            self.retries += 1
-            self.telemetry.count("parallel.retries")
-            self._task_queue.put(items[sid])
+        if lost:
+            self.retries += len(lost)
+            self.telemetry.count("parallel.retries", len(lost))
 
-    def _drop_stale(self) -> None:
-        self.stale_dropped += 1
-        self.telemetry.count("parallel.stale_dropped")
+    def _drop_stale(self, items: int = 1) -> None:
+        self.stale_dropped += items
+        self.telemetry.count("parallel.stale_dropped", items)
 
     def _record_result(self, msg: WorkResult, payload: bytes | None = None) -> None:
         wid = msg.worker_id
@@ -1087,8 +1111,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Delta-scoring counters aggregated from worker replies.
 
         Mirrors the ``pipe.delta.*`` telemetry; ``sticky_routed`` counts
-        dispatches that took a worker's private affinity queue instead of
-        the shared on-demand queue.
+        items the chunk planner placed with the worker that scored their
+        parent.
         """
         return {
             "hits": self.delta_hits,

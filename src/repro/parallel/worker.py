@@ -2,9 +2,10 @@
 
 A worker receives the broadcast data once (here: via process inheritance /
 pickled arguments, standing in for the paper's MPI broadcast that "relieves
-considerable stress from the shared disks"), then loops: request work,
-build the candidate's ``sequence_similarity`` structure, run PIPE against
-the target and every non-target, and return the scores.
+considerable stress from the shared disks"), then loops: take the next
+chunk of candidates from its own queue, score them with
+:func:`~repro.ga.fitness.score_batch` against the target and every
+non-target, and return the chunk's scores in one reply.
 
 A candidate whose evaluation raises does **not** kill the worker: the
 exception is captured as a :class:`~repro.parallel.messages.WorkFailure`
@@ -18,23 +19,22 @@ chosen item.
 from __future__ import annotations
 
 import os
-import queue as queue_mod
 import time
 import traceback as traceback_mod
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from repro.ga.fitness import ScoreSet
+from repro.ga import fitness
 from repro.parallel.messages import (
+    ChunkResult,
     EndSignal,
     RetireSignal,
+    WorkChunk,
     WorkFailure,
     WorkItem,
     WorkResult,
 )
-from repro.ppi.delta import DeltaStats, Provenance, SimilarityLRU
+from repro.ppi.delta import SimilarityLRU
 from repro.ppi.pipe import PipeConfig, PipeEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,8 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FaultPlan",
     "WorkerContext",
-    "score_candidate",
-    "score_candidate_with_delta",
     "worker_loop",
 ]
 
@@ -53,11 +51,12 @@ __all__ = [
 class FaultPlan:
     """Test-only fault injection for the worker loop.
 
-    Item indices are 0-based counts of items *this worker* has pulled from
-    the task queue.  ``only_worker`` restricts injection to one worker id;
-    respawned workers receive fresh (monotonically increasing) ids, so a
-    crash plan targeting worker 0 fires at most once per run — the
-    replacement worker is unaffected and recovery is deterministic.
+    Item indices are 0-based counts of items *this worker* has taken off
+    its queue, counted across chunks.  ``only_worker`` restricts
+    injection to one worker id; respawned workers receive fresh
+    (monotonically increasing) ids, so a crash plan targeting worker 0
+    fires at most once per run — the replacement worker is unaffected
+    and recovery is deterministic.
 
     Attributes
     ----------
@@ -65,18 +64,17 @@ class FaultPlan:
         Raise inside the scoring path at this item (surfaces as a
         :class:`~repro.parallel.messages.WorkFailure`).
     crash_on_item:
-        Hard-exit the worker process (``os._exit``) after pulling this
-        item — the item is lost in flight, simulating a node failure.
+        Hard-exit the worker process (``os._exit``) at this item — its
+        whole chunk is lost in flight, simulating a node failure.
     hang_on_item / hang_s:
         Stop responding at this item: sleep ``hang_s`` seconds (bounded,
-        so an orphaned test process still dies) while holding the item —
+        so an orphaned test process still dies) while holding its chunk —
         simulating a hung node the master can only time out on.
     delay_on_item / delay:
-        Sleep ``delay`` seconds before scoring, inside the timed region
-        — the worker-reported elapsed (and hence the master's latency
-        EWMA) includes it, simulating a genuinely slow item.  With
-        ``delay_on_item`` set, only that item is delayed, otherwise
-        every item is.
+        Sleep ``delay`` seconds before scoring; the item's reported
+        elapsed (and hence the master's latency EWMA) includes it,
+        simulating a genuinely slow item.  With ``delay_on_item`` set,
+        only that item is delayed, otherwise every item is.
     """
 
     fail_on_item: int | None = None
@@ -182,106 +180,31 @@ class WorkerContext:
         self.engine.database.precompute(list(dict.fromkeys(names)))
 
 
-def score_candidate_with_delta(
-    context: WorkerContext,
-    encoded: np.ndarray,
-    *,
-    provenance: Provenance | None = None,
-    similarity_cache: SimilarityLRU | None = None,
-    problem: tuple[str, Sequence[str]] | None = None,
-) -> tuple[ScoreSet, DeltaStats | None]:
-    """One unit of worker work: candidate vs target + all non-targets.
-
-    Builds the candidate's similarity structure once and reuses it for all
-    predictions, exactly as Algorithm 2 prescribes.  With a
-    ``similarity_cache``, the structure is built incrementally from the
-    cached parent(s) named by ``provenance`` (re-sweeping only dirty
-    windows); the returned :class:`~repro.ppi.delta.DeltaStats` reports
-    which route was taken so the master can aggregate the accounting.
-
-    ``problem`` overrides the context's ``(target, non_targets)`` for
-    this one candidate (the fabric's fused-dispatch path); the similarity
-    sweep is problem-independent, so the cache and delta route are shared
-    across problems untouched.
-    """
-    engine = context.engine
-    arr = np.asarray(encoded, dtype=np.uint8)
-    if problem is None:
-        target, non_targets = context.target, context.non_targets
-    else:
-        target, non_targets = problem[0], list(problem[1])
-    if similarity_cache is not None:
-        with engine.telemetry.span("pipe.window_build"):
-            similarity, stats = similarity_cache.similarity_for(
-                engine.database, arr, provenance
-            )
-    else:
-        similarity, stats = engine.similarity_of(arr), None
-    names = [target, *non_targets]
-    scored = engine.score_against(arr, names, similarity=similarity)
-    return (
-        ScoreSet(
-            target_score=scored[target],
-            non_target_scores=tuple(scored[nt] for nt in non_targets),
-        ),
-        stats,
-    )
-
-
-def score_candidate(context: WorkerContext, encoded: np.ndarray) -> ScoreSet:
-    """Full-sweep scoring of one candidate (the delta-unaware surface)."""
-    scores, _ = score_candidate_with_delta(context, encoded)
-    return scores
-
-
 def worker_loop(
     worker_id: int,
     context: WorkerContext,
     task_queue,
     result_queue,
-    *,
-    sticky_queue=None,
-    poll_timeout: float = 1.0,
 ) -> int:
     """Worker main loop; returns the number of candidates processed.
 
-    Runs until an :class:`EndSignal` arrives on the task queue.  The task
-    queue is shared by all workers, so pulling from it is the
-    multiprocessing realisation of the paper's on-demand master dispatch.
-    ``sticky_queue`` (when given) is this worker's private queue: the
-    master routes children there when this worker scored their parents,
-    so the delta path finds the parent similarity structures in the local
-    LRU.  The sticky queue is drained before the shared one; the
-    :class:`EndSignal` travels only on the shared queue, while a
-    :class:`RetireSignal` (elastic scale-down) arrives on the private
-    queue and stops *this* worker only — it is never re-enqueued.  A
-    scoring exception is reported as a :class:`WorkFailure` and the loop
-    continues with the next item.
+    ``task_queue`` is this worker's own queue, the only one it blocks on.
+    The master sends it one :class:`~repro.parallel.messages.WorkChunk`
+    at a time and the next when the :class:`ChunkResult` comes back — the
+    paper's on-demand dispatch at chunk granularity.  Runs until an
+    :class:`EndSignal` (shutdown) or :class:`RetireSignal` (elastic
+    scale-down) arrives.  A failing item is reported as a
+    :class:`WorkFailure`; the rest of its chunk is still scored.
     """
     view = context.ensure_engine()
     try:
-        return _worker_loop_inner(
-            worker_id,
-            context,
-            task_queue,
-            result_queue,
-            sticky_queue=sticky_queue,
-            poll_timeout=poll_timeout,
-        )
+        return _serve(worker_id, context, task_queue, result_queue)
     finally:
         if view is not None:
             view.close()
 
 
-def _worker_loop_inner(
-    worker_id: int,
-    context: WorkerContext,
-    task_queue,
-    result_queue,
-    *,
-    sticky_queue=None,
-    poll_timeout: float = 1.0,
-) -> int:
+def _serve(worker_id: int, context: WorkerContext, task_queue, result_queue) -> int:
     context.warm_cache()
     faults = context.faults
     inject = faults is not None and faults.applies_to(worker_id)
@@ -294,94 +217,112 @@ def _worker_loop_inner(
     problems: dict[int, tuple[str, tuple[str, ...]]] = dict(
         context.problems or {}
     )
+    default_problem = (context.target, context.non_targets)
     processed = 0
     while True:
-        message = None
-        if sticky_queue is not None:
-            try:
-                message = sticky_queue.get_nowait()
-            except queue_mod.Empty:
-                message = None
-        if message is None:
-            try:
-                message = task_queue.get(timeout=poll_timeout)
-            except queue_mod.Empty:
-                continue
-        if isinstance(message, EndSignal):
-            # Let sibling workers see the signal too.
-            task_queue.put(message)
+        message = task_queue.get()
+        if isinstance(message, (EndSignal, RetireSignal)):
             break
-        if isinstance(message, RetireSignal):
-            # Private scale-down: only this worker leaves the pool.
-            break
-        if not isinstance(message, WorkItem):
+        if not isinstance(message, WorkChunk):
             raise TypeError(f"unexpected message {type(message).__name__}")
-        if inject:
-            if faults.crash_on_item == processed:
-                # Simulated node failure: the pulled item dies with us.
-                os._exit(1)
-            if faults.hang_on_item == processed:
-                # Simulated hung node: hold the item without replying.
-                time.sleep(faults.hang_s)
-        start = time.perf_counter()
-        try:
-            if inject and faults.delay > 0.0 and faults.delay_on_item in (
-                None,
-                processed,
-            ):
-                # Simulated slow item: inside the timed region, so the
-                # reported elapsed (and the master's latency EWMA) sees it.
-                time.sleep(faults.delay)
-            if inject and faults.fail_on_item == processed:
-                raise RuntimeError(
-                    f"injected failure on item {processed} of worker {worker_id}"
-                )
-            problem = None
-            if message.problem_id is not None:
-                problem = problems.get(message.problem_id)
-                if problem is None:
-                    if message.problem is None:
+        # (item, problem, injected delay) of every item that reaches scoring.
+        ready: list[tuple[WorkItem, tuple, float]] = []
+        for item in message.items:
+            delay = 0.0
+            try:
+                if inject:
+                    if faults.crash_on_item == processed:
+                        # Simulated node failure: the chunk dies with us.
+                        os._exit(1)
+                    if faults.hang_on_item == processed:
+                        # Simulated hung node: hold the chunk without replying.
+                        time.sleep(faults.hang_s)
+                    if faults.delay > 0.0 and faults.delay_on_item in (
+                        None,
+                        processed,
+                    ):
+                        started = time.perf_counter()
+                        time.sleep(faults.delay)
+                        delay = time.perf_counter() - started
+                    if faults.fail_on_item == processed:
                         raise RuntimeError(
-                            f"unknown problem id {message.problem_id} "
-                            "(item carries no spec)"
+                            f"injected failure on item {processed} of worker "
+                            f"{worker_id}"
                         )
-                    problem = message.problem
-                    problems[message.problem_id] = problem
-                    # One-time warm-up per newly seen problem: its
-                    # target/non-target structures enter the shared
-                    # known-protein cache.
-                    context.engine.database.precompute(
-                        [problem[0], *problem[1]]
-                    )
-            scores, delta = score_candidate_with_delta(
-                context,
-                message.decode(),
-                provenance=message.provenance,
-                similarity_cache=similarity_cache,
-                problem=problem,
+                problem = default_problem
+                if item.problem_id is not None:
+                    problem = _resolve_problem(context, problems, item)
+            except Exception as exc:
+                result_queue.put(_failure(worker_id, message, item, exc))
+            else:
+                ready.append((item, problem, delay))
+            processed += 1
+        if not ready:
+            continue
+        started = time.perf_counter()
+        try:
+            scored = fitness.score_batch(
+                context.engine,
+                similarity_cache,
+                [item.decode() for item, _, _ in ready],
+                [item.provenance for item, _, _ in ready],
+                [problem for _, problem, _ in ready],
+                context.use_delta,
             )
         except Exception as exc:
-            result_queue.put(
-                WorkFailure(
-                    sequence_id=message.sequence_id,
-                    worker_id=worker_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                    traceback=traceback_mod.format_exc(),
-                    batch_epoch=message.batch_epoch,
-                )
-            )
-            processed += 1
+            result_queue.put(_failure(worker_id, message, ready[0][0], exc))
             continue
-        elapsed = time.perf_counter() - start
+        # The batch is scored as one unit; each item is charged an equal
+        # share of its wall time plus its own injected delay.
+        share = (time.perf_counter() - started) / len(ready)
         result_queue.put(
-            WorkResult(
-                message.sequence_id,
+            ChunkResult(
                 worker_id,
-                scores,
-                elapsed,
-                batch_epoch=message.batch_epoch,
-                delta=delta,
+                message.batch_epoch,
+                tuple(
+                    WorkResult(
+                        item.sequence_id,
+                        worker_id,
+                        scores,
+                        delay + share,
+                        batch_epoch=message.batch_epoch,
+                        delta=stats,
+                    )
+                    for (item, _, delay), (scores, stats) in zip(ready, scored)
+                ),
             )
         )
-        processed += 1
     return processed
+
+
+def _resolve_problem(
+    context: WorkerContext,
+    problems: dict[int, tuple[str, tuple[str, ...]]],
+    item: WorkItem,
+) -> tuple[str, tuple[str, ...]]:
+    """The fabric problem an item is bound to, registering it on first
+    sight from the item's own spec."""
+    problem = problems.get(item.problem_id)
+    if problem is None:
+        if item.problem is None:
+            raise RuntimeError(
+                f"unknown problem id {item.problem_id} (item carries no spec)"
+            )
+        problem = item.problem
+        problems[item.problem_id] = problem
+        # One-time warm-up per newly seen problem: its target/non-target
+        # structures enter the shared known-protein cache.
+        context.engine.database.precompute([problem[0], *problem[1]])
+    return problem
+
+
+def _failure(
+    worker_id: int, chunk: WorkChunk, item: WorkItem, exc: Exception
+) -> WorkFailure:
+    return WorkFailure(
+        sequence_id=item.sequence_id,
+        worker_id=worker_id,
+        error=f"{type(exc).__name__}: {exc}",
+        traceback=traceback_mod.format_exc(),
+        batch_epoch=chunk.batch_epoch,
+    )

@@ -250,18 +250,6 @@ class PipeDatabase:
         """Window rows a query of ``length`` residues contributes."""
         return num_windows(int(length), self.window_size)
 
-    def _sweep_counts(self, seq: np.ndarray) -> np.ndarray:
-        """Dense ``(num_windows, num_proteins)`` match counts for ``seq``.
-
-        Delegates to the pluggable similarity kernel
-        (:mod:`repro.ppi.kernels`); both the full sweep and the delta
-        re-sweep of dirty rows run through here, so the two paths are
-        bit-exact by construction (a subsequence's rows reproduce the
-        corresponding rows of the full sweep — same chunking over the
-        proteome, same float64 summation order).
-        """
-        return self.kernel.sweep(self, seq)
-
     def sequence_similarity(self, encoded: np.ndarray) -> SequenceSimilarity:
         """Build the per-candidate similarity structure (Algorithm 2's
         ``build specified portion of sequence_similarity``).

@@ -528,6 +528,9 @@ class DesignService:
         self._graph = self._fabric._engine.database.graph
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
+        # Serialises status.json writes (taken before, never inside,
+        # _lock), so the file follows the order of the states it records.
+        self._status_lock = threading.Lock()
         self._jobs: "OrderedDict[str, _Job]" = OrderedDict()
         self._queues: dict[str, deque[_Job]] = {}
         self._rr_tenant: str | None = None
@@ -974,22 +977,29 @@ class DesignService:
                 json.dumps(payload, indent=1, sort_keys=True),
                 fsync=self.fsync,
             )
-        with self._lock:
-            job.state = state
-            job.finished_at = time.time()
-            self._count_outcome_locked(state)
-            self.telemetry.record_timing("service.job", elapsed)
-            self.telemetry.event(
-                "service.job_finished",
-                job_id=job.job_id,
-                tenant=job.tenant,
-                state=state,
-                attempts=job.attempts,
-                elapsed_s=elapsed,
-            )
-            self._update_gauges_locked()
-            self._cond.notify_all()
-        self._write_status(job)
+        finished_at = time.time()
+        with self._status_lock:
+            # The terminal status.json lands before the state becomes
+            # visible, so status() never runs ahead of the file.
+            with self._lock:
+                status = job.status_payload()
+            status.update(state=state, finished_at=finished_at)
+            self._write_status_payload(job, status)
+            with self._lock:
+                job.state = state
+                job.finished_at = finished_at
+                self._count_outcome_locked(state)
+                self.telemetry.record_timing("service.job", elapsed)
+                self.telemetry.event(
+                    "service.job_finished",
+                    job_id=job.job_id,
+                    tenant=job.tenant,
+                    state=state,
+                    attempts=job.attempts,
+                    elapsed_s=elapsed,
+                )
+                self._update_gauges_locked()
+                self._cond.notify_all()
 
     def _result_payload(self, job: _Job, result: GAResult) -> dict[str, object]:
         best = result.best
@@ -1031,8 +1041,12 @@ class DesignService:
         )
 
     def _write_status(self, job: _Job) -> None:
-        with self._lock:
-            payload = job.status_payload()
+        with self._status_lock:
+            with self._lock:
+                payload = job.status_payload()
+            self._write_status_payload(job, payload)
+
+    def _write_status_payload(self, job: _Job, payload: dict[str, object]) -> None:
         atomic_write(
             job.dir / "status.json",
             json.dumps(payload, indent=1, sort_keys=True),

@@ -153,14 +153,12 @@ class TestSerialProvider:
             assert not p.closed
         assert p.closed
 
-    def test_deprecated_cache_attributes(self, tiny_engine, tiny_problem, rng):
+    def test_cache_stats_hits_and_misses(self, tiny_engine, tiny_problem, rng):
         target, nts = tiny_problem
         provider = SerialScoreProvider(tiny_engine, target, nts[:1])
         provider.scores([rng.integers(0, 20, size=20).astype(np.uint8)])
-        with pytest.warns(DeprecationWarning):
-            assert provider.cache_hits == 0
-        with pytest.warns(DeprecationWarning):
-            assert provider.cache_misses == 1
+        assert provider.cache_stats["hits"] == 0
+        assert provider.cache_stats["misses"] == 1
 
     def test_cache_telemetry_counters(self, tiny_engine, tiny_problem, rng):
         target, nts = tiny_problem

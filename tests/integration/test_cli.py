@@ -119,11 +119,11 @@ def test_no_command_rejected():
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["design", "YBL051C", "--backend", "thread", "--workers", "2",
+        (["design", "YBL051C", "--backend", "fabric", "--workers", "2",
           "--scaling", "queue-depth"], "--scaling"),
         (["design", "YBL051C", "--fail-fast"], "--fail-fast"),
         (["design", "YBL051C", "--backend", "fabric", "--no-shm"], "--no-shm"),
-        (["stats", "--backend", "thread", "--workers", "2",
+        (["stats", "--backend", "fabric", "--workers", "2",
           "--min-workers", "1"], "--min-workers"),
     ],
 )

@@ -2,11 +2,15 @@
 
 Policy and controller tests are pure (no processes); the integration
 tests at the bottom drive a real :class:`MultiprocessScoreProvider` and
-include the regression tests for the dispatch/telemetry bugfix sweep:
+include the regression test for the dispatch/telemetry bugfix sweep:
 the ``parallel.queue_depth`` gauge must track the *live* backlog (not be
-set once to the batch size) and the sticky backlog cap must divide by
-the live pool (not the configured ``num_workers``).
+set once to the batch size).  The chunk planner tests check the pure
+:func:`~repro.parallel.mp_backend.plan_chunks`: shares balance over the
+*live* pool (not the configured ``num_workers``) and honour parent
+affinity whenever balance allows.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from repro.parallel.elastic import (
     QueueDepthScaling,
     make_scaling_policy,
 )
-from repro.parallel.mp_backend import MultiprocessScoreProvider
+from repro.parallel.mp_backend import MultiprocessScoreProvider, plan_chunks
 from repro.telemetry import MetricsRegistry
 
 
@@ -170,6 +174,56 @@ class TestController:
         assert stats["decisions"] == 1
 
 
+class TestChunkPlanner:
+    """The pure per-worker chunk planner."""
+
+    def test_divides_by_live_pool(self):
+        # The plan balances over the pool that exists, not the
+        # configured size: deaths and elastic resizes make them differ.
+        for workers in ([0, 1], [3], [0, 2, 5]):
+            shares, _ = plan_chunks([None] * 16, workers)
+            sizes = sorted(len(s) for s in shares.values())
+            assert set(shares) == set(workers)
+            assert sum(sizes) == 16
+            assert sizes[-1] == math.ceil(16 / len(workers))
+            assert sizes[-1] - sizes[0] <= 1
+        with pytest.raises(ValueError):
+            plan_chunks([None], [])
+
+    def test_every_item_once_in_item_order(self):
+        shares, _ = plan_chunks([1, None, 0, 1, None, 0, 0], [0, 1])
+        placed = [i for wid in (0, 1) for i in shares[wid]]
+        assert sorted(placed) == list(range(7))
+        assert all(s == sorted(s) for s in shares.values())
+
+    def test_affinity_honoured_when_balance_allows(self):
+        # Two children per parent worker: every child lands with its
+        # parent's worker.
+        shares, routed = plan_chunks([0, 1, 0, 1], [0, 1])
+        assert shares == {0: [0, 2], 1: [1, 3]}
+        assert routed == 4
+
+    def test_balance_beats_affinity(self):
+        # All four children prefer worker 0, but its share is capped at
+        # ceil(4 / 2) = 2; the overflow goes to worker 1.
+        shares, routed = plan_chunks([0, 0, 0, 0], [0, 1])
+        assert shares == {0: [0, 1], 1: [2, 3]}
+        assert routed == 2
+
+    def test_larger_share_goes_to_most_preferred_worker(self):
+        # n=1 over 2 workers: the one item goes to its parent's worker,
+        # even though that is not the first worker.
+        shares, routed = plan_chunks([7], [3, 7])
+        assert shares == {3: [], 7: [0]}
+        assert routed == 1
+
+    def test_unknown_preference_ignored(self):
+        # A preferred worker outside the live pool (it died) is ignored.
+        shares, routed = plan_chunks([9, 9], [0, 1])
+        assert sorted(len(s) for s in shares.values()) == [1, 1]
+        assert routed == 0
+
+
 class TestProviderIntegration:
     """Real worker processes under elastic policies."""
 
@@ -195,25 +249,6 @@ class TestProviderIntegration:
         assert gauge.value == 0.0  # drained
         assert gauge.max == 6.0  # peaked at the batch size
         assert gauge.updates > 2  # actually tracked, not set-and-forget
-
-    def test_sticky_cap_divides_by_live_pool(self, tiny_engine, tiny_problem):
-        # Regression: the cap used to divide by the configured
-        # num_workers; with half the pool dead that starves the sticky
-        # lanes of the survivors.
-        target, non_targets = tiny_problem
-        provider = MultiprocessScoreProvider(
-            tiny_engine, target, non_targets, num_workers=4
-        )
-        try:
-            provider._workers = {0: object(), 1: object()}
-            assert provider._sticky_cap(16) == 16  # 2 * 16 / 2 live
-            provider._workers = {0: object()}
-            assert provider._sticky_cap(16) == 32  # 2 * 16 / 1 live
-            provider._workers = {}
-            assert provider._sticky_cap(16) == 32  # floor guard, no div-by-0
-        finally:
-            provider._workers = {}
-            provider.close()
 
     def test_elastic_matches_serial(self, tiny_engine, tiny_problem, rng):
         target, non_targets = tiny_problem

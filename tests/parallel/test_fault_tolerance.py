@@ -178,9 +178,7 @@ def test_close_drains_orphaned_task_queue(tiny_engine, tiny_problem, rng):
     )
 
 
-def _dead_worker_entry(
-    worker_id, context, task_queue, result_queue, sticky_queue=None
-):
+def _dead_worker_entry(worker_id, context, task_queue, result_queue):
     """A worker that exits immediately without taking any work."""
     return
 

@@ -127,6 +127,30 @@ class TestDeltaAndSticky:
             assert with_delta[0].target_score == expected.target_score
             assert with_delta[0].non_target_scores == expected.non_target_scores
 
+    def test_child_is_scored_by_its_parents_worker(
+        self, tiny_engine, tiny_problem, rng
+    ):
+        from repro.ppi.delta import mutation_provenance
+
+        target, non_targets = tiny_problem
+        with MultiprocessScoreProvider(
+            tiny_engine, target, non_targets, num_workers=2, timeout=120.0
+        ) as provider:
+            parents = [rng.integers(0, 20, size=30).astype(np.uint8) for _ in range(2)]
+            provider.scores(parents)  # one parent per worker
+            assert set(provider.worker_stats()) == {0, 1}
+            # The second parent's child alone: the idle first worker must
+            # not take it away from the worker holding the parent.
+            child = parents[1].copy()
+            child[4] = (child[4] + 1) % 20
+            provider.scores_with_provenance(
+                [child], [mutation_provenance(parents[1], [4])]
+            )
+            stats = provider.delta_stats()
+            assert stats["hits"] == 1
+            assert stats["fallbacks"] == 0
+            assert stats["sticky_routed"] == 1
+
     def test_unknown_parent_falls_back_never_wrong(
         self, tiny_engine, tiny_problem, rng
     ):

@@ -6,6 +6,7 @@ import pytest
 from repro.ppi.database import PipeDatabase
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.pipe import PipeConfig, PipeEngine
+from repro.providers import make_engine
 from repro.sequences.encoding import decode
 from repro.substitution import PAM120
 
@@ -199,9 +200,9 @@ def test_count_positions_mode(world):
     assert np.all(h_counts >= h_binary)
 
 
-def test_build_classmethod(world):
+def test_make_engine_builds_from_graph(world):
     graph, _ = world
-    engine = PipeEngine.build(graph, PipeConfig(window_size=W, match_rate=1e-4))
+    engine = make_engine(graph, PipeConfig(window_size=W, match_rate=1e-4))
     assert engine.database.window_size == W
 
 

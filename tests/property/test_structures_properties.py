@@ -1,15 +1,13 @@
-"""Hypothesis property tests for data structures: graph, scheduler,
+"""Hypothesis property tests for data structures: graph, chunk planner,
 persistence, diversity, binding sites."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ga.fitness import ScoreSet
 from repro.ga.population import Individual, Population
 from repro.ga.diversity import mean_pairwise_hamming, positional_entropy
-from repro.parallel.messages import WorkItem, WorkResult
-from repro.parallel.scheduler import OnDemandScheduler
+from repro.parallel.mp_backend import plan_chunks
 from repro.ppi.graph import InteractionGraph
 from repro.ppi.sites import predict_binding_sites
 from repro.sequences.protein import Protein
@@ -37,34 +35,27 @@ def test_graph_edge_invariants(pairs):
         assert graph.has_edge(a, b) and graph.has_edge(b, a)
 
 
-# --- scheduler ---------------------------------------------------------------
+# --- chunk planner -----------------------------------------------------------
 
 
 @settings(max_examples=50)
 @given(
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=30),
+    st.lists(st.integers(0, 20), min_size=1, max_size=8, unique=True),
     st.randoms(use_true_random=False),
 )
-def test_ondemand_scheduler_complete_and_ordered(n_items, n_workers, pyrandom):
-    items = [WorkItem(i, bytes([i % 250 + 1])) for i in range(n_items)]
-    sched = OnDemandScheduler(items)
-    outstanding = []
-    while True:
-        w = pyrandom.randrange(n_workers)
-        item = sched.next_for(w)
-        if item is None:
-            break
-        outstanding.append((item, w))
-        # Randomly complete some outstanding work.
-        while outstanding and pyrandom.random() < 0.5:
-            done, worker = outstanding.pop(pyrandom.randrange(len(outstanding)))
-            sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
-    for done, worker in outstanding:
-        sched.record(WorkResult(done.sequence_id, worker, ScoreSet(0.5, ())))
-    assert sched.done
-    results = sched.results_in_order()
-    assert [r.sequence_id for r in results] == list(range(n_items))
+def test_chunk_plan_complete_and_balanced(n_items, workers, pyrandom):
+    preferred = [
+        pyrandom.choice([None, *workers, 99]) for _ in range(n_items)
+    ]
+    shares, routed = plan_chunks(preferred, workers)
+    placed = sorted(i for share in shares.values() for i in share)
+    assert placed == list(range(n_items))
+    cap = -(-n_items // len(workers))
+    assert all(cap - 1 <= len(s) <= cap for s in shares.values())
+    assert routed == sum(
+        1 for wid, share in shares.items() for i in share if preferred[i] == wid
+    )
 
 
 # --- diversity ---------------------------------------------------------------

@@ -111,6 +111,34 @@ def test_submit_runs_to_done_with_stable_artifacts(tiny_world, tmp_path):
     assert result["completed"] is True
 
 
+def test_status_file_written_before_terminal_state_is_visible(
+    tiny_world, tmp_path, monkeypatch
+):
+    """``status()`` is documented as identical to ``status.json``: once it
+    reads a terminal state, the file must already say the same, however
+    slow the write."""
+    import repro.service as service_mod
+
+    real_write = service_mod.atomic_write
+
+    def slow_terminal_status_write(path, data, **kwargs):
+        if (
+            str(path).endswith("status.json")
+            and json.loads(data)["state"] in JobState.TERMINAL
+        ):
+            time.sleep(0.5)
+        return real_write(path, data, **kwargs)
+
+    monkeypatch.setattr(service_mod, "atomic_write", slow_terminal_status_write)
+    with _service(tiny_world, tmp_path / "svc") as service:
+        job_id = service.submit(_spec(generations=1))
+        assert _wait(
+            lambda: service.status(job_id)["state"] in JobState.TERMINAL,
+            interval=0.01,
+        )
+        assert read_status(service.root, job_id) == service.status(job_id)
+
+
 def test_quota_blocked_job_stays_pending_and_runs_after_cancel(
     tiny_world, tmp_path
 ):
