@@ -128,12 +128,12 @@ def _scenario_pool_loss(world, non_targets, reference) -> bool:
             ),
             "history bit-exact": json.dumps(result.history.to_payload())
             == json.dumps(reference.history.to_payload()),
-            "degraded_items > 0": provider.degraded_items > 0,
-            "worker deaths observed": provider.worker_deaths > 0,
+            "degraded_items > 0": provider.fault_stats()["degraded_items"] > 0,
+            "worker deaths observed": provider.fault_stats()["worker_deaths"] > 0,
             "breaker open": provider.breaker.state == BreakerState.OPEN,
             "telemetry agrees": (
                 telemetry.counter("parallel.degraded_items").value
-                == provider.degraded_items
+                == provider.fault_stats()["degraded_items"]
             ),
         }
     return _check(checks)
@@ -217,7 +217,9 @@ def _scenario_elastic_resize(world, non_targets, reference) -> bool:
             "latency EWMA tracked": (
                 telemetry.gauge("parallel.item_latency_ewma").value > 0.0
             ),
-            "no deaths (resizes are clean)": provider.worker_deaths == 0,
+            "no deaths (resizes are clean)": (
+                provider.fault_stats()["worker_deaths"] == 0
+            ),
             "telemetry agrees": (
                 telemetry.counter("parallel.scale_up").value
                 == stats["scale_ups"]

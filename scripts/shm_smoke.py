@@ -128,7 +128,7 @@ def _scenario_worker_crash(world, non_targets) -> bool:
         faults=FaultPlan(crash_on_item=1, only_worker=0),
     ) as provider:
         out = provider.scores(seqs)
-        deaths = provider.worker_deaths
+        deaths = provider.fault_stats()["worker_deaths"]
     exact = all(
         got.target_score == want.target_score
         for got, want in zip(out, expected)

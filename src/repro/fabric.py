@@ -58,7 +58,7 @@ import numpy as np
 
 from repro.ga.fitness import CachingScoreProvider, ScoreSet
 from repro.parallel.mp_backend import MultiprocessScoreProvider
-from repro.telemetry import NULL_REGISTRY, MetricsRegistry
+from repro.telemetry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ppi.delta import Provenance
@@ -115,7 +115,6 @@ class _ClientState:
     target: str
     non_targets: tuple[str, ...]
     closed: bool = False
-    items_scored: int = 0
 
 
 @dataclass
@@ -181,8 +180,13 @@ class ScoringFabric:
         work pending, the fabric flushes immediately.
     telemetry:
         Registry for the ``fabric.*`` metrics (and the underlying
-        provider's ``parallel.*`` ones).  Updated from the dispatcher
-        thread under the fabric lock.
+        provider's ``parallel.*`` ones), which :meth:`fabric_stats`
+        reads; defaults to a fresh private
+        :class:`~repro.telemetry.MetricsRegistry`.  Only a registry
+        passed here reaches the engine built from ``source``.  The
+        ``fabric.*`` writes hold the fabric lock; the provider records
+        ``parallel.*`` from the dispatcher thread without it, and a
+        service records ``service.*`` under its own lock.
     **provider_kwargs:
         Forwarded to the single
         :class:`~repro.parallel.mp_backend.MultiprocessScoreProvider`
@@ -208,7 +212,7 @@ class ScoringFabric:
             raise ValueError(f"max_wait_ms must be >= 0, got {max_wait_ms}")
         from repro.providers import make_engine
 
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
+        self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self._engine = make_engine(source, config, telemetry=telemetry)
         self.max_items = int(max_items)
         self.max_wait_s = float(max_wait_ms) / 1000.0
@@ -221,10 +225,6 @@ class ScoringFabric:
         self._dispatcher: threading.Thread | None = None
         self._closed = False
         self._broken: BaseException | None = None
-        self.fused_batches = 0
-        self.fused_items = 0
-        self.abandoned_items = 0
-        self.pending_items = 0
 
     # -- client lifecycle ----------------------------------------------------
 
@@ -465,7 +465,6 @@ class ScoringFabric:
                 dropped += sub.remaining
                 sub.fail(ClientClosedError(f"client {cid} closed"))
             if dropped:
-                self.abandoned_items += dropped
                 with self._lock:
                     self.telemetry.count("fabric.abandoned_items", dropped)
                     self.telemetry.event(
@@ -482,7 +481,6 @@ class ScoringFabric:
         self, pending: "Mapping[int, deque[_Submission]]"
     ) -> None:
         count = sum(sub.remaining for q in pending.values() for sub in q)
-        self.pending_items = count
         with self._lock:
             self.telemetry.set_gauge("fabric.pending_items", count)
 
@@ -553,22 +551,15 @@ class ScoringFabric:
                 sub.finish()
         for cid in [c for c, q in pending.items() if not q]:
             del pending[cid]
-        self.fused_batches += 1
-        self.fused_items += len(order)
+        per_client: dict[int, int] = {}
+        for sub, _ in order:
+            cid = sub.client.client_id
+            per_client[cid] = per_client.get(cid, 0) + 1
         with self._lock:
             self.telemetry.count("fabric.fused_batches")
             self.telemetry.count("fabric.fused_items", len(order))
-            if self.telemetry.enabled:
-                per_client: dict[int, int] = {}
-                for sub, _ in order:
-                    cid = sub.client.client_id
-                    per_client[cid] = per_client.get(cid, 0) + 1
-                for cid, n in per_client.items():
-                    self._clients[cid].items_scored += n
-                    self.telemetry.count(f"fabric.client.{cid}.items", n)
-            else:
-                for sub, _ in order:
-                    sub.client.items_scored += 1
+            for cid, n in per_client.items():
+                self.telemetry.count(f"fabric.client.{cid}.items", n)
 
     def _drain_on_shutdown(
         self, pending: "OrderedDict[int, deque[_Submission]]"
@@ -591,19 +582,24 @@ class ScoringFabric:
     # -- statistics ----------------------------------------------------------
 
     def fabric_stats(self) -> dict[str, object]:
-        """Coalescer counters (mirrors the ``fabric.*`` telemetry)."""
+        """Coalescer counters, read from the ``fabric.*`` instruments
+        (``per_client`` items from ``fabric.client.<id>.items``)."""
+        read = self.telemetry.counted
         with self._lock:
             per_client = {
                 state.client_id: {
                     "target": state.target,
-                    "items": state.items_scored,
+                    "items": read(f"fabric.client.{state.client_id}.items"),
                     "closed": state.closed,
                 }
                 for state in self._clients.values()
             }
             active = self._active_locked()
-        fused_batches = self.fused_batches
-        fused_items = self.fused_items
+            # Under the lock, like every fabric.* write: one consistent cut.
+            fused_batches = read("fabric.fused_batches")
+            fused_items = read("fabric.fused_items")
+            abandoned = read("fabric.abandoned_items")
+            pending = read("fabric.pending_items")
         return {
             "clients": active,
             "total_clients": self._next_client_id,
@@ -612,8 +608,8 @@ class ScoringFabric:
             "mean_fused_size": (
                 fused_items / fused_batches if fused_batches else 0.0
             ),
-            "abandoned_items": self.abandoned_items,
-            "pending": self.pending_items,
+            "abandoned_items": abandoned,
+            "pending": pending,
             "max_items": self.max_items,
             "max_wait_ms": self.max_wait_s * 1000.0,
             "per_client": per_client,

@@ -88,7 +88,8 @@ without real sleeps).
 The provider shares the bounded-LRU score cache with the serial path
 through :class:`~repro.ga.fitness.CachingScoreProvider` and reports the
 master-side view of the runtime through telemetry: batch wall time
-(``parallel.batch``), dispatch counters, the live outstanding-item count
+(``parallel.batch`` for pool dispatch, ``parallel.batch_wall`` for
+every scoring call), dispatch counters, the live outstanding-item count
 (``parallel.queue_depth``, decaying to 0 as each batch drains), the pool
 size and latency signals (``parallel.pool_size``,
 ``parallel.item_latency_ewma``, ``parallel.scale_{up,down}``,
@@ -98,6 +99,10 @@ and — from the worker-reported per-item wall times — per-worker busy
 time, item counts, throughput and utilisation
 (:meth:`MultiprocessScoreProvider.worker_stats`), exactly the quantities
 behind the paper's Figures 5–6.
+
+Every ``*_stats()`` view reads those instruments by name (a private
+registry unless ``telemetry=`` is given; providers sharing one registry
+add up in each other's views).
 """
 
 from __future__ import annotations
@@ -132,7 +137,7 @@ from repro.ppi.delta import Provenance, SimilarityLRU
 from repro.ppi.pipe import PipeEngine
 from repro.ppi.shm import SharedProteomeView
 from repro.resilience.policies import BreakerState, CircuitBreaker
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, TimerStat
 
 __all__ = [
     "MultiprocessScoreProvider",
@@ -276,7 +281,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         Test-only :class:`~repro.parallel.worker.FaultPlan` forwarded to
         the workers; leave ``None`` in production.
     telemetry:
-        Metrics registry; defaults to the zero-overhead null registry.
+        Metrics registry the runtime records into and every ``*_stats()``
+        view reads; defaults to a fresh private
+        :class:`~repro.telemetry.MetricsRegistry` (``NULL_REGISTRY``
+        turns recording, and with it the views, off).
     """
 
     def __init__(
@@ -320,7 +328,10 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             )
         if close_grace_s < 0:
             raise ValueError(f"close_grace_s must be >= 0, got {close_grace_s}")
-        super().__init__(cache_size=cache_size, telemetry=telemetry)
+        super().__init__(
+            cache_size=cache_size,
+            telemetry=telemetry if telemetry is not None else MetricsRegistry(),
+        )
         self.context = WorkerContext(
             engine,
             target,
@@ -378,34 +389,13 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         self._problems: dict[int, tuple[str, tuple[str, ...]]] = {}
         self._next_problem_id = 0
         self._epoch = 0
-        self.dispatched = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self.retired = 0
-        self.worker_deaths = 0
-        self.respawns = 0
-        self.retries = 0
-        self.stale_dropped = 0
-        self.failures = 0
-        self.degraded_items = 0
-        self.degraded_batches = 0
-        self.force_killed = 0
         # Master-side similarity LRU backing the serial-degradation path
         # (same role as each worker's local LRU).
         self._master_similarity = SimilarityLRU(int(similarity_cache_size))
-        self.delta_hits = 0
-        self.delta_fallbacks = 0
-        self.delta_rows_rescored = 0
-        self.delta_rows_total = 0
-        self.sticky_routed = 0
         # Which worker last scored each sequence (by encoded bytes),
         # bounded to mirror the worker-side similarity LRUs it predicts.
         self._affinity: OrderedDict[bytes, int] = OrderedDict()
         self._affinity_size = int(similarity_cache_size)
-        self._worker_items: dict[int, int] = {}
-        self._worker_busy: dict[int, float] = {}
-        self._batches = 0
-        self._batch_wall = 0.0
 
     @property
     def target(self) -> str:
@@ -567,7 +557,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
-                self.force_killed += 1
                 self.telemetry.count("parallel.force_killed")
         self._drain_stale(self._result_queue)
         self._workers = {}
@@ -667,8 +656,9 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                         self.breaker.record_failure()
                     else:
                         self.breaker.record_success()
-        self._batches += 1
-        self._batch_wall += time.perf_counter() - start
+        self.telemetry.record_timing(
+            "parallel.batch_wall", time.perf_counter() - start
+        )
         return results
 
     def _set_queue_depth(self, depth: int) -> None:
@@ -760,7 +750,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     take = len(source) if cap is None else min(cap, len(source))
                     sids = tuple(sorted(source.popleft() for _ in range(take)))
                     if source is not requeued:
-                        self.dispatched += take
                         self.telemetry.count("parallel.dispatched", take)
                     inflight[wid] = sids
                     self._queues[wid].put(
@@ -777,7 +766,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                 plan, routed = plan_chunks(preferred, list(self._workers))
                 shares.update((wid, deque(sids)) for wid, sids in plan.items())
                 if routed:
-                    self.sticky_routed += routed
                     self.telemetry.count("parallel.sticky_routed", routed)
                 fill()
                 last_progress = self._clock()
@@ -826,7 +814,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                         if msg.batch_epoch != epoch:
                             self._drop_stale()
                             continue
-                        self.failures += 1
                         self.telemetry.count("parallel.failures")
                         raise WorkerFailureError(
                             f"worker {msg.worker_id} failed on sequence "
@@ -879,7 +866,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         # a fresh provider after resume); make sure the master's engine
         # holds the preprocessed problem structures.
         self.context.warm_cache()
-        self.degraded_batches += 1
         self.telemetry.count("parallel.degraded_batches")
         self.telemetry.event("parallel.degraded", items=len(arrays), reason=reason)
         with self.telemetry.span("parallel.degraded_scoring"):
@@ -893,7 +879,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             )
         for _, stats in scored:
             self._record_delta(stats)
-        self.degraded_items += len(scored)
         self.telemetry.count("parallel.degraded_items", len(scored))
         return [scores for scores, _ in scored]
 
@@ -948,7 +933,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             while len(self._workers) < desired:
                 self._spawn_worker()
                 added += 1
-            self.scale_ups += added
             self.telemetry.count("parallel.scale_up", added)
         elif desired < live:
             floor = max(1, self.min_workers)
@@ -962,7 +946,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
                     break
                 taken[wid] = self._retire_worker(wid)
             if taken:
-                self.scale_downs += len(taken)
                 self.telemetry.count("parallel.scale_down", len(taken))
         self._target_workers = len(self._workers)
         return taken
@@ -994,7 +977,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         """Refill the pool to the controller's last executed target."""
         while len(self._workers) < max(1, self._target_workers):
             self._spawn_worker()
-            self.respawns += 1
             self.telemetry.count("parallel.respawns")
 
     # -- fault handling ----------------------------------------------------
@@ -1012,7 +994,6 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             proc = self._workers.pop(wid)
             proc.join(timeout=0.1)
             self._queues.pop(wid, None)
-            self.worker_deaths += 1
             self.telemetry.count("parallel.worker_deaths")
         for wid in [w for w, p in self._retiring.items() if not p.is_alive()]:
             proc = self._retiring.pop(wid)
@@ -1020,10 +1001,8 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             if proc.exitcode not in (0, None):
                 # Died mid-retirement — its chunk in hand needs recovery.
                 dead.append(wid)
-                self.worker_deaths += 1
                 self.telemetry.count("parallel.worker_deaths")
             else:
-                self.retired += 1
                 self.telemetry.count("parallel.retired")
         if dead:
             self.telemetry.set_gauge("parallel.pool_size", len(self._workers))
@@ -1049,17 +1028,13 @@ class MultiprocessScoreProvider(CachingScoreProvider):
         for sid in lost:
             retries[sid] = retries.get(sid, 0) + 1
         if lost:
-            self.retries += len(lost)
             self.telemetry.count("parallel.retries", len(lost))
 
     def _drop_stale(self, items: int = 1) -> None:
-        self.stale_dropped += items
         self.telemetry.count("parallel.stale_dropped", items)
 
     def _record_result(self, msg: WorkResult, payload: bytes | None = None) -> None:
         wid = msg.worker_id
-        self._worker_items[wid] = self._worker_items.get(wid, 0) + 1
-        self._worker_busy[wid] = self._worker_busy.get(wid, 0.0) + msg.elapsed
         ewma = self._controller.observe_latency(msg.elapsed)
         self.telemetry.set_gauge("parallel.item_latency_ewma", ewma)
         if payload is not None:
@@ -1069,92 +1044,85 @@ class MultiprocessScoreProvider(CachingScoreProvider):
             self._affinity.move_to_end(payload)
             while len(self._affinity) > self._affinity_size:
                 self._affinity.popitem(last=False)
-        if msg.delta is not None:
-            if msg.delta.hit:
-                self.delta_hits += 1
-                self.telemetry.count("pipe.delta.hits")
-            else:
-                self.delta_fallbacks += 1
-                self.telemetry.count("pipe.delta.fallbacks")
-            self.delta_rows_rescored += msg.delta.rows_rescored
-            self.delta_rows_total += msg.delta.rows_total
-            self.telemetry.count("pipe.delta.rows_rescored", msg.delta.rows_rescored)
-            self.telemetry.count("pipe.delta.rows_total", msg.delta.rows_total)
-        if self.telemetry.enabled:
-            self.telemetry.count(f"parallel.worker.{wid}.items")
-            self.telemetry.record_timing(f"parallel.worker.{wid}.busy", msg.elapsed)
+        self._record_delta(msg.delta)
+        self.telemetry.count(f"parallel.worker.{wid}.items")
+        self.telemetry.record_timing(f"parallel.worker.{wid}.busy", msg.elapsed)
 
     # -- runtime statistics --------------------------------------------------
 
+    def _timer(self, name: str) -> TimerStat:
+        found = self.telemetry.lookup(name)
+        return found if isinstance(found, TimerStat) else TimerStat()
+
     def worker_stats(self) -> dict[int, dict[str, float]]:
-        """Per-worker throughput summary from worker-reported wall times.
+        """Per-worker throughput summary from worker-reported wall times
+        (``parallel.worker.<id>.items`` / ``.busy``).
 
         ``utilisation`` divides a worker's busy time by the provider's
-        total batch wall time — the per-worker efficiency panel of the
-        paper's worker-scaling figures.
+        total batch wall time (``parallel.batch_wall``) — the per-worker
+        efficiency panel of the paper's worker-scaling figures.
         """
+        batch_wall = self._timer("parallel.batch_wall").total
         out: dict[int, dict[str, float]] = {}
-        for wid in sorted(self._worker_items):
-            items = self._worker_items[wid]
-            busy = self._worker_busy[wid]
+        for wid in range(self._next_worker_id):
+            items = self.telemetry.counted(f"parallel.worker.{wid}.items")
+            if not items:
+                continue
+            busy = self._timer(f"parallel.worker.{wid}.busy").total
             out[wid] = {
                 "items": float(items),
                 "busy_s": busy,
                 "throughput_per_s": items / busy if busy > 0 else 0.0,
-                "utilisation": (
-                    busy / self._batch_wall if self._batch_wall > 0 else 0.0
-                ),
+                "utilisation": busy / batch_wall if batch_wall > 0 else 0.0,
             }
         return out
 
     def delta_stats(self) -> dict[str, int]:
-        """Delta-scoring counters aggregated from worker replies.
-
-        Mirrors the ``pipe.delta.*`` telemetry; ``sticky_routed`` counts
-        items the chunk planner placed with the worker that scored their
-        parent.
+        """The ``pipe.delta.*`` counters, pool and master-serial scoring
+        alike; ``sticky_routed`` (``parallel.sticky_routed``) counts items
+        the chunk planner placed with the worker that scored their parent.
         """
+        read = self.telemetry.counted
+        keys = ("hits", "fallbacks", "rows_rescored", "rows_total")
         return {
-            "hits": self.delta_hits,
-            "fallbacks": self.delta_fallbacks,
-            "rows_rescored": self.delta_rows_rescored,
-            "rows_total": self.delta_rows_total,
-            "sticky_routed": self.sticky_routed,
+            **{key: read(f"pipe.delta.{key}") for key in keys},
+            "sticky_routed": read("parallel.sticky_routed"),
         }
 
     def fault_stats(self) -> dict[str, object]:
-        """Fault-tolerance counters (mirrors the ``parallel.*`` telemetry)."""
+        """Fault-tolerance counters (``parallel.<key>``), the breaker and
+        the current batch epoch."""
+        keys = (
+            "worker_deaths", "respawns", "retries", "stale_dropped",
+            "failures", "degraded_items", "degraded_batches", "force_killed",
+        )
         return {
-            "worker_deaths": self.worker_deaths,
-            "respawns": self.respawns,
-            "retries": self.retries,
-            "stale_dropped": self.stale_dropped,
-            "failures": self.failures,
-            "degraded_items": self.degraded_items,
-            "degraded_batches": self.degraded_batches,
-            "force_killed": self.force_killed,
+            **{key: self.telemetry.counted(f"parallel.{key}") for key in keys},
             "breaker": self.breaker.stats(),
             "epoch": self._epoch,
         }
 
     def elastic_stats(self) -> dict[str, object]:
-        """Elastic-pool counters (mirrors the scaling telemetry)."""
+        """The elastic controller's state plus the resize counters
+        (``parallel.scale_up`` / ``scale_down`` / ``retired``)."""
+        read = self.telemetry.counted
         return {
             **self._controller.stats(),
             "live_workers": len(self._workers),
             "target_workers": self._target_workers,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "retired": self.retired,
+            "scale_ups": read("parallel.scale_up"),
+            "scale_downs": read("parallel.scale_down"),
+            "retired": read("parallel.retired"),
         }
 
     def runtime_stats(self) -> dict[str, object]:
         """Master-side runtime summary (batches, wall time, cache, workers)."""
+        batch = self._timer("parallel.batch_wall")
         return {
             "num_workers": self.num_workers,
-            "dispatched": self.dispatched,
-            "batches": self._batches,
-            "batch_wall_s": self._batch_wall,
+            "dispatched": self.telemetry.counted("parallel.dispatched"),
+            "batches": batch.count,
+            "batch_wall_s": batch.total,
             "cache": self.cache_stats,
             "workers": self.worker_stats(),
             "fault_tolerance": self.fault_stats(),

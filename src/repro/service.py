@@ -69,11 +69,7 @@ from repro.ga.config import GAParams
 from repro.ga.engine import GAResult, InSiPSEngine
 from repro.ga.stats import RunHistory
 from repro.ga.termination import MaxGenerations, TerminationCriterion
-from repro.telemetry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    export_jsonl,
-)
+from repro.telemetry import MetricsRegistry, export_jsonl
 from repro.util.atomic import atomic_write
 from repro.util.validation import check_int_range, check_positive
 
@@ -484,8 +480,10 @@ class DesignService:
         service crashed or was SIGKILLed mid-job); they resume from
         their newest valid snapshot.
     telemetry:
-        Registry for the ``service.*`` metrics (shared with the fabric
-        and its pool).
+        Registry for the ``service.*`` metrics, shared with the fabric
+        and its pool; :meth:`service_stats` reads it.  Defaults to the
+        fabric's fresh private :class:`~repro.telemetry.MetricsRegistry`,
+        so one service has one registry.
     **fabric_kwargs:
         Forwarded to :class:`~repro.fabric.ScoringFabric`
         (``num_workers=``, ``max_items=``, ``scaling=``, ``faults=`` ...).
@@ -518,13 +516,15 @@ class DesignService:
         self.max_concurrent = int(max_concurrent)
         self.max_queue = int(max_queue)
         self.fsync = bool(fsync)
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._quotas = dict(quotas or {})
         self._default_quota = (
             default_quota if default_quota is not None else TenantQuota()
         )
         self._resolver = getattr(source, "non_targets_for", None)
+        # The fabric hands only the caller's registry to the engine and
+        # otherwise makes a private one, which the service then shares.
         self._fabric = ScoringFabric(source, telemetry=telemetry, **fabric_kwargs)
+        self.telemetry = self._fabric.telemetry
         self._graph = self._fabric._engine.database.graph
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -537,10 +537,6 @@ class DesignService:
         self._next_job_number = 1
         self._closing = False
         self._closed = False
-        self.submitted = 0
-        self.rejected = 0
-        self.resumed = 0
-        self.recovered = 0
         self._threads = [
             threading.Thread(
                 target=self._engine_loop,
@@ -643,7 +639,6 @@ class DesignService:
                             f"{quota.max_demand}, job asks {spec.demand} more",
                         )
             except QuotaError as exc:
-                self.rejected += 1
                 self.telemetry.count("service.rejected")
                 self.telemetry.event(
                     "service.rejected", tenant=exc.tenant, reason=exc.reason
@@ -652,7 +647,6 @@ class DesignService:
             self._next_job_number += 1
             job = _Job(spec, job_id, non_targets, job_dir(self.root, job_id))
             self._admit_locked(job)
-            self.submitted += 1
             self.telemetry.count("service.submitted")
         self._persist_spec(job)
         self._write_status(job)
@@ -703,7 +697,9 @@ class DesignService:
             ]
 
     def service_stats(self) -> dict[str, object]:
-        """Orchestrator counters (mirrors the ``service.*`` telemetry)."""
+        """Job states, tenant demand and the ``service.{submitted,
+        rejected,resumed,recovered}`` counters, plus the fabric's view."""
+        read = self.telemetry.counted
         with self._lock:
             by_state: dict[str, int] = {state: 0 for state in JobState.ALL}
             tenants: dict[str, dict[str, int]] = {}
@@ -722,10 +718,10 @@ class DesignService:
                 "jobs": by_state,
                 "queued": self._queued_locked(),
                 "running": self._running_locked(),
-                "submitted": self.submitted,
-                "rejected": self.rejected,
-                "resumed": self.resumed,
-                "recovered": self.recovered,
+                "submitted": read("service.submitted"),
+                "rejected": read("service.rejected"),
+                "resumed": read("service.resumed"),
+                "recovered": read("service.recovered"),
                 "max_concurrent": self.max_concurrent,
                 "max_queue": self.max_queue,
                 "tenants": tenants,
@@ -824,7 +820,6 @@ class DesignService:
             job.reason = None
             job.finished_at = None
             self._queues.setdefault(job.tenant, deque()).append(job)
-            self.resumed += 1
             self.telemetry.count("service.resumed")
             self._update_gauges_locked()
             self._cond.notify_all()
@@ -1092,7 +1087,6 @@ class DesignService:
                 self._jobs[job_id] = job
                 self._queues.setdefault(job.tenant, deque()).append(job)
                 recovered.append(job)
-                self.recovered += 1
                 self.telemetry.count("service.recovered")
             elif state in JobState.TERMINAL:
                 job.state = state

@@ -3,9 +3,12 @@
 The observability layer behind the reproduction's performance work.  Every
 instrumented component (the PIPE kernels, the GA main loop, the score
 providers, the multiprocessing runtime) accepts a
-:class:`~repro.telemetry.MetricsRegistry` and defaults to the shared
-zero-overhead :data:`~repro.telemetry.NULL_REGISTRY`, so instrumentation
-costs nothing unless a run opts in::
+:class:`~repro.telemetry.MetricsRegistry`.  The GA, PIPE and score-cache
+layers default to the shared zero-overhead
+:data:`~repro.telemetry.NULL_REGISTRY`, so instrumentation costs nothing
+there unless a run opts in.  The process provider, the fabric and the
+service default to a private registry, because their ``*_stats()``
+views are reads of it::
 
     from repro import InhibitorDesigner, get_profile
     from repro.telemetry import MetricsRegistry, export_jsonl, summary
@@ -30,8 +33,10 @@ Metric namespaces in use:
                             distribution and one ``ga.generation`` event
                             per generation
 ``provider.cache.*``        score-cache hits / misses / evictions
-``parallel.*``              master/worker runtime: batch timers, dispatch
-                            counters, queue-depth gauge and per-worker
+``parallel.*``              master/worker runtime: batch timers
+                            (``parallel.batch`` per pool dispatch,
+                            ``parallel.batch_wall`` per scoring call),
+                            dispatch counters, queue-depth gauge and per-worker
                             ``parallel.worker.<id>.*`` busy time / items;
                             degradation accounting
                             (``parallel.degraded_items`` /

@@ -7,9 +7,10 @@ layer:
 
 * :class:`MetricsRegistry` — a process-local registry of named
   instruments plus an append-only event log (for per-generation records);
-* :class:`NullRegistry` — the default everywhere: every operation is a
-  no-op and ``span()`` returns a shared singleton, so instrumented hot
-  paths pay only a method call when telemetry is off;
+* :class:`NullRegistry` — the default of the GA, PIPE and score-cache
+  layers: every operation is a no-op and ``span()`` returns a shared
+  singleton, so instrumented hot paths pay only a method call when
+  telemetry is off;
 * :func:`get_registry` / :func:`set_registry` — an optional process-wide
   default for code that is not reached by explicit wiring.
 
@@ -225,9 +226,12 @@ class _Span:
 class MetricsRegistry:
     """Process-local registry of named instruments and events.
 
-    Not thread-safe by design: the GA main loop, the PIPE kernels and
-    each worker process are single-threaded, and keeping the registry
-    lock-free keeps it picklable and cheap.
+    Lock-free, which keeps it picklable and cheap.  Safe while other
+    threads record (under CPython): creating an instrument (one atomic
+    ``setdefault``), :meth:`lookup`/:meth:`counted` and :meth:`snapshot`.
+    Not safe: two threads updating the *same* instrument (``+=`` is not
+    atomic) or timing spans concurrently (one shared span stack) — give
+    each instrument one writing thread, or a lock its writers hold.
     """
 
     #: Whether this registry records anything; instrumentation sites may
@@ -247,25 +251,25 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         c = self._counters.get(name)
         if c is None:
-            c = self._counters[name] = Counter()
+            c = self._counters.setdefault(name, Counter())
         return c
 
     def gauge(self, name: str) -> Gauge:
         g = self._gauges.get(name)
         if g is None:
-            g = self._gauges[name] = Gauge()
+            g = self._gauges.setdefault(name, Gauge())
         return g
 
     def histogram(self, name: str, *, sample_limit: int = 1024) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
-            h = self._histograms[name] = Histogram(sample_limit=sample_limit)
+            h = self._histograms.setdefault(name, Histogram(sample_limit=sample_limit))
         return h
 
     def timer(self, name: str) -> TimerStat:
         t = self._timers.get(name)
         if t is None:
-            t = self._timers[name] = TimerStat()
+            t = self._timers.setdefault(name, TimerStat())
         return t
 
     # -- recording shorthands ----------------------------------------------
@@ -303,11 +307,28 @@ class MetricsRegistry:
     def events(self) -> list[dict[str, object]]:
         return list(self._events)
 
+    def lookup(self, name: str) -> Counter | Gauge | Histogram | TimerStat | None:
+        """The instrument registered under ``name``, or None.  Never
+        creates one (reading a stat adds nothing to exports) and never
+        iterates a store (safe while other threads record)."""
+        for store in (self._counters, self._gauges, self._histograms, self._timers):
+            inst = store.get(name)
+            if inst is not None:
+                return inst
+        return None
+
+    def counted(self, name: str) -> int:
+        """The value of counter or gauge ``name`` as an int (0 if absent)."""
+        inst = self.lookup(name)
+        return int(inst.value) if isinstance(inst, (Counter, Gauge)) else 0
+
     def snapshot(self) -> dict[str, dict[str, object]]:
-        """All instruments as ``{name: {"type": ..., ...}}`` (events excluded)."""
+        """All instruments as ``{name: {"type": ..., ...}}`` (events
+        excluded); iterates store copies, so instruments another thread
+        creates mid-snapshot cannot break it."""
         out: dict[str, dict[str, object]] = {}
         for store in (self._counters, self._gauges, self._histograms, self._timers):
-            for name, inst in store.items():
+            for name, inst in store.copy().items():
                 out[name] = inst.as_dict()
         return out
 
@@ -424,6 +445,9 @@ class NullRegistry(MetricsRegistry):
     def events(self) -> list[dict[str, object]]:
         return []
 
+    def lookup(self, name: str) -> None:
+        return None
+
     def snapshot(self) -> dict[str, dict[str, object]]:
         return {}
 
@@ -437,7 +461,9 @@ class NullRegistry(MetricsRegistry):
         return {}
 
 
-#: Process-wide shared no-op registry; the default for all components.
+#: Process-wide shared no-op registry; the default of every component
+#: except the process provider, the fabric and the service (whose stats
+#: views read their registry, so they default to a private one).
 NULL_REGISTRY = NullRegistry()
 
 _default_registry: MetricsRegistry = NULL_REGISTRY

@@ -56,9 +56,9 @@ def test_crashed_worker_respawned_batch_completes(
         for got, want in zip(out, expected):
             assert got.target_score == pytest.approx(want.target_score)
             assert got.non_target_scores == pytest.approx(want.non_target_scores)
-        assert provider.worker_deaths >= 1
-        assert provider.respawns >= 1
-        assert provider.retries >= 1
+        assert provider.fault_stats()["worker_deaths"] >= 1
+        assert provider.fault_stats()["respawns"] >= 1
+        assert provider.fault_stats()["retries"] >= 1
         assert telemetry.counter("parallel.respawns").value >= 1
         assert telemetry.counter("parallel.worker_deaths").value >= 1
         # The replacement got a fresh id beyond the initial worker range.
@@ -83,7 +83,7 @@ def test_work_failure_surfaces_worker_traceback(tiny_engine, tiny_problem, rng):
             provider.scores(_seqs(rng, 1))
         assert "worker traceback" in str(exc.value)
         assert "RuntimeError" in str(exc.value)
-        assert provider.failures == 1
+        assert provider.fault_stats()["failures"] == 1
     finally:
         provider.close()
 
@@ -107,7 +107,7 @@ def test_worker_survives_failed_item(tiny_engine, tiny_problem, rng):
             provider.scores(_seqs(rng, 1))
         out = provider.scores(_seqs(rng, 2))
         assert len(out) == 2
-        assert provider.respawns == 0
+        assert provider.fault_stats()["respawns"] == 0
     finally:
         provider.close()
 
@@ -142,7 +142,7 @@ def test_stale_epoch_result_dropped_on_reuse(tiny_engine, tiny_problem, rng):
         want = serial.scores([seq_b])[0]
         assert out[0].target_score == pytest.approx(want.target_score)
         assert out[0].non_target_scores == pytest.approx(want.non_target_scores)
-        assert provider.stale_dropped >= 1
+        assert provider.fault_stats()["stale_dropped"] >= 1
     finally:
         provider.close()
 
@@ -171,10 +171,10 @@ def test_close_drains_orphaned_task_queue(tiny_engine, tiny_problem, rng):
             provider.scores(_seqs(rng, 8))
     finally:
         provider.close()
-    assert provider.stale_dropped >= 1
+    assert provider.fault_stats()["stale_dropped"] >= 1
     assert (
         telemetry.counter("parallel.stale_dropped").value
-        == provider.stale_dropped
+        == provider.fault_stats()["stale_dropped"]
     )
 
 
@@ -205,9 +205,9 @@ def test_retry_budget_exhaustion_names_workers_and_items(
         with pytest.raises(DeadWorkerError, match="died") as exc:
             provider.scores(_seqs(rng, 1))
         assert "retry budget" in str(exc.value)
-        assert provider.worker_deaths >= 1
-        assert provider.respawns >= 1
-        assert provider.retries == provider.max_retries
+        assert provider.fault_stats()["worker_deaths"] >= 1
+        assert provider.fault_stats()["respawns"] >= 1
+        assert provider.fault_stats()["retries"] == provider.max_retries
     finally:
         provider.close()
 
@@ -252,5 +252,5 @@ def test_fault_plan_only_targets_named_worker(tiny_engine, tiny_problem, rng):
     ) as provider:
         out = provider.scores(_seqs(rng, 3))
         assert len(out) == 3
-        assert provider.worker_deaths == 0
-        assert provider.failures == 0
+        assert provider.fault_stats()["worker_deaths"] == 0
+        assert provider.fault_stats()["failures"] == 0

@@ -132,5 +132,5 @@ def test_fused_items_degrade_with_their_problem(
     ) as provider:
         pid = provider.register_problem(other, other_nts)
         got = provider.score_fused(arrays, None, [pid] * len(arrays))
-        assert provider.degraded_items > 0
+        assert provider.fault_stats()["degraded_items"] > 0
     assert got == ref

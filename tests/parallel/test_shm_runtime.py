@@ -117,7 +117,7 @@ def test_no_segment_leak_after_worker_sigkill(tiny_engine, tiny_problem, rng):
         out = provider.scores(seqs)
         for got, want in zip(out, expected):
             assert got.target_score == pytest.approx(want.target_score)
-        assert provider.worker_deaths >= 1
+        assert provider.fault_stats()["worker_deaths"] >= 1
     assert set(_live_segments()) == before
 
 

@@ -56,7 +56,7 @@ def test_scale_up_mid_batch_bit_exact(tiny_engine, tiny_problem, rng):
         telemetry=telemetry,
     ) as provider:
         out = provider.scores(seqs)
-        assert provider.scale_ups > 0
+        assert provider.elastic_stats()["scale_ups"] > 0
         # The gauge proves the pool really grew mid-batch (it may have
         # already shrunk back by the time the batch drained).
         assert telemetry.gauge("parallel.pool_size").max > 1
@@ -97,19 +97,25 @@ def test_scale_down_with_sticky_backlog_loses_nothing(
             children.append(child)
             provs.append(mutation_provenance(parent, [7]))
         out = provider.scores_with_provenance(children, provs)
-        assert provider.scale_downs > 0
+        assert provider.elastic_stats()["scale_downs"] > 0
         assert len(provider._workers) < 3
         expected = serial.scores(children)
         assert _same_scores(out, expected)
         # Clean retirements are eventually reaped as retired, not deaths:
         # give the retiring workers a bounded window to drain and exit.
         deadline = time.monotonic() + 15.0
-        while provider.retired == 0 and time.monotonic() < deadline:
+        while (
+            provider.elastic_stats()["retired"] == 0
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.1)
             provider._reap_dead_workers()
-        assert provider.retired > 0
-        assert provider.worker_deaths == 0
-        assert telemetry.counter("parallel.retired").value == provider.retired
+        assert provider.elastic_stats()["retired"] > 0
+        assert provider.fault_stats()["worker_deaths"] == 0
+        assert (
+            telemetry.counter("parallel.retired").value
+            == provider.elastic_stats()["retired"]
+        )
 
 
 def test_worker_death_during_scale_down_recovers(
@@ -136,11 +142,11 @@ def test_worker_death_during_scale_down_recovers(
         # Deep batch: worker 1 dies on its third item mid-batch.
         big = _seqs(rng, 12)
         assert _same_scores(provider.scores(big), serial.scores(big))
-        assert provider.worker_deaths >= 1
+        assert provider.fault_stats()["worker_deaths"] >= 1
         # Tiny batch: the policy shrinks the pool to one worker.
         small = _seqs(rng, 2)
         assert _same_scores(provider.scores(small), serial.scores(small))
-        assert provider.scale_downs >= 1
+        assert provider.elastic_stats()["scale_downs"] >= 1
         assert len(provider._workers) == 1
 
 

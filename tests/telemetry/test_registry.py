@@ -2,6 +2,8 @@
 guarantees."""
 
 import pickle
+import sys
+import threading
 import time
 
 import pytest
@@ -214,3 +216,55 @@ class TestDefaultRegistry:
         finally:
             set_registry(None)
         assert get_registry() is NULL_REGISTRY
+
+
+class TestConcurrentReads:
+    def test_snapshot_survives_concurrent_instrument_creation(self):
+        """A thread creating instruments while another snapshots the same
+        registry (the fabric dispatcher versus a stats reader) must never
+        break the snapshot's iteration."""
+        switch = sys.getswitchinterval()
+        # Switch threads often, so the writer runs inside snapshot loops.
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                reg = MetricsRegistry()
+                for i in range(2_000):
+                    reg.count(f"old.{i}")
+                done = threading.Event()
+
+                def create():
+                    for i in range(2_000):
+                        reg.count(f"new.{i}")
+                    done.set()
+
+                writer = threading.Thread(target=create)
+                writer.start()
+                try:
+                    while not done.is_set():
+                        reg.snapshot()
+                finally:
+                    writer.join(timeout=30.0)
+                assert not writer.is_alive()
+                assert len(reg.snapshot()) == 4_000
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_lookup_never_creates(self):
+        reg = MetricsRegistry()
+        assert reg.lookup("absent") is None
+        assert reg.counted("absent") == 0
+        assert reg.snapshot() == {}
+        reg.count("hits", 3)
+        reg.set_gauge("depth", 2)
+        reg.record_timing("busy", 0.5)
+        assert reg.lookup("hits") is reg.counter("hits")
+        assert reg.counted("hits") == 3
+        assert reg.counted("depth") == 2
+        assert reg.counted("busy") == 0  # timers have no single value
+        assert reg.lookup("busy").total == 0.5
+
+    def test_null_registry_lookup_is_empty(self):
+        NULL_REGISTRY.count("x")
+        assert NULL_REGISTRY.lookup("x") is None
+        assert NULL_REGISTRY.counted("x") == 0
